@@ -14,9 +14,10 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import NoneType, UnionType
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .engine import TrialOutcome, TrialStatus, full_objective, run_study
 from .errors import FormatError
@@ -235,126 +236,36 @@ def compare_pruners(config: BenchConfig) -> BenchReport:
     )
 
 
-def _report_to_dict(report: BenchReport) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "baseline": report.baseline,
-        "repetitions": report.repetitions,
-        "trials_per_rep": report.trials_per_rep,
-        "workers": report.workers,
-        "direction": report.direction,
-        "outer_folds": report.outer_folds,
-        "inner_folds": report.inner_folds,
-        "variants": [
-            {
-                "name": v.name,
-                "models_trained_total": v.models_trained_total,
-                "models_trained_stddev": v.models_trained_stddev,
-                "semantic_prunes": v.semantic_prunes,
-                "threshold_prunes": v.threshold_prunes,
-                "comparison_prunes": v.comparison_prunes,
-                "completed": v.completed,
-                "falsely_pruned_total": v.falsely_pruned_total,
-                "best_preserved_all": v.best_preserved_all,
-                "percent_models_saved_vs_baseline": v.percent_models_saved_vs_baseline,
-                "per_rep": [
-                    {
-                        "rep": r.rep,
-                        "models_trained": r.models_trained,
-                        "semantic_prunes": r.semantic_prunes,
-                        "threshold_prunes": r.threshold_prunes,
-                        "comparison_prunes": r.comparison_prunes,
-                        "completed": r.completed,
-                        "falsely_pruned": r.falsely_pruned,
-                        "max_margin": r.max_margin,
-                        "best_preserved": r.best_preserved,
-                    }
-                    for r in v.per_rep
-                ],
-                "false_prunes": [
-                    {
-                        "rep": f.rep,
-                        "trial_id": f.trial_id,
-                        "full_objective": f.full_objective,
-                        "threshold": f.threshold,
-                        "margin": f.margin,
-                    }
-                    for f in v.false_prunes
-                ],
-            }
-            for v in report.variants
-        ],
-    }
-
-
 def report_to_json(report: BenchReport) -> str:
-    return json.dumps(_report_to_dict(report), indent=2) + "\n"
+    return json.dumps({"schema": REPORT_SCHEMA, **asdict(report)}, indent=2) + "\n"
 
 
-_DETAIL_COLUMNS = (
-    "variant",
-    "rep",
-    "models_trained",
-    "semantic_prunes",
-    "threshold_prunes",
-    "comparison_prunes",
-    "completed",
-    "falsely_pruned",
-    "max_margin",
-    "best_preserved",
+_DETAIL_FIELDS = tuple(f.name for f in fields(RepStats))
+_SUMMARY_FIELDS = tuple(
+    name for name, hint in get_type_hints(VariantReport).items()
+    if name != "name" and get_origin(hint) is not tuple
 )
-_SUMMARY_COLUMNS = (
-    "variant",
-    "models_trained_total",
-    "models_trained_stddev",
-    "semantic_prunes",
-    "threshold_prunes",
-    "comparison_prunes",
-    "completed",
-    "falsely_pruned_total",
-    "best_preserved_all",
-    "percent_models_saved_vs_baseline",
-)
+
+
+def _cell(value) -> str:
+    """How a CSV cell spells a report value: floats round-trip, booleans as in JSON."""
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 def report_to_csv(report: BenchReport) -> str:
     """Detail rows (one per variant and repetition) followed by a summary block."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_DETAIL_COLUMNS)
+    writer.writerow(("variant",) + _DETAIL_FIELDS)
     for v in report.variants:
         for r in v.per_rep:
-            writer.writerow(
-                [
-                    v.name,
-                    r.rep,
-                    r.models_trained,
-                    r.semantic_prunes,
-                    r.threshold_prunes,
-                    r.comparison_prunes,
-                    r.completed,
-                    r.falsely_pruned,
-                    "" if r.max_margin is None else repr(r.max_margin),
-                    str(r.best_preserved).lower(),
-                ]
-            )
+            writer.writerow([v.name] + [_cell(getattr(r, name)) for name in _DETAIL_FIELDS])
     writer.writerow([])
-    writer.writerow(_SUMMARY_COLUMNS)
+    writer.writerow(("variant",) + _SUMMARY_FIELDS)
     for v in report.variants:
-        writer.writerow(
-            [
-                v.name,
-                v.models_trained_total,
-                repr(v.models_trained_stddev),
-                v.semantic_prunes,
-                v.threshold_prunes,
-                v.comparison_prunes,
-                v.completed,
-                v.falsely_pruned_total,
-                str(v.best_preserved_all).lower(),
-                repr(v.percent_models_saved_vs_baseline),
-            ]
-        )
+        writer.writerow([v.name] + [_cell(getattr(v, name)) for name in _SUMMARY_FIELDS])
     return buffer.getvalue()
 
 
@@ -370,64 +281,52 @@ def emit_report(report: BenchReport, format: str, path) -> None:
         handle.write(text)
 
 
+def _from_json(hint, value, where: str):
+    """Rebuild a value of type ``hint`` from parsed JSON, checking its type.
+
+    Dataclasses come from objects holding every field, ``tuple[X, ...]`` from
+    arrays, and ``null`` is accepted only for ``X | None``. An int is accepted
+    where a float is expected; a bool is never accepted as an int.
+    """
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise FormatError(f"{where}: expected an object, got {type(value).__name__}")
+        prefix = f"{where}." if where else ""
+        kwargs = {}
+        for name, field_hint in get_type_hints(hint).items():
+            if name not in value:
+                raise FormatError(f"missing field {prefix}{name}")
+            kwargs[name] = _from_json(field_hint, value[name], prefix + name)
+        return hint(**kwargs)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise FormatError(f"{where}: expected an array, got {type(value).__name__}")
+        item = get_args(hint)[0]
+        return tuple(_from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if get_origin(hint) is UnionType:
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not NoneType]
+    if type(value) is hint or (hint is float and type(value) is int):
+        return value
+    raise FormatError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
+
+
 def load_report(path) -> BenchReport:
-    """Parse a JSON report back into a structurally equal ``BenchReport``."""
+    """Parse a JSON report back into a structurally equal ``BenchReport``.
+
+    Raises ``FormatError`` naming the field path (e.g.
+    ``variants[0].per_rep[3].rep``) when a field is missing or mistyped.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read report {path}: {exc}") from exc
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != REPORT_SCHEMA:
+        raise FormatError(f"report {path}: unsupported report schema {schema!r}")
     try:
-        if data["schema"] != REPORT_SCHEMA:
-            raise FormatError(f"unsupported report schema {data['schema']!r}")
-        variants = tuple(
-            VariantReport(
-                name=v["name"],
-                models_trained_total=v["models_trained_total"],
-                models_trained_stddev=v["models_trained_stddev"],
-                semantic_prunes=v["semantic_prunes"],
-                threshold_prunes=v["threshold_prunes"],
-                comparison_prunes=v["comparison_prunes"],
-                completed=v["completed"],
-                falsely_pruned_total=v["falsely_pruned_total"],
-                best_preserved_all=v["best_preserved_all"],
-                percent_models_saved_vs_baseline=v["percent_models_saved_vs_baseline"],
-                per_rep=tuple(
-                    RepStats(
-                        rep=r["rep"],
-                        models_trained=r["models_trained"],
-                        semantic_prunes=r["semantic_prunes"],
-                        threshold_prunes=r["threshold_prunes"],
-                        comparison_prunes=r["comparison_prunes"],
-                        completed=r["completed"],
-                        falsely_pruned=r["falsely_pruned"],
-                        max_margin=r["max_margin"],
-                        best_preserved=r["best_preserved"],
-                    )
-                    for r in v["per_rep"]
-                ),
-                false_prunes=tuple(
-                    FalsePruneRecord(
-                        rep=f["rep"],
-                        trial_id=f["trial_id"],
-                        full_objective=f["full_objective"],
-                        threshold=f["threshold"],
-                        margin=f["margin"],
-                    )
-                    for f in v["false_prunes"]
-                ),
-            )
-            for v in data["variants"]
-        )
-        return BenchReport(
-            baseline=data["baseline"],
-            repetitions=data["repetitions"],
-            trials_per_rep=data["trials_per_rep"],
-            workers=data["workers"],
-            direction=data["direction"],
-            outer_folds=data["outer_folds"],
-            inner_folds=data["inner_folds"],
-            variants=variants,
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed report {path}: missing or bad field {exc}") from exc
+        return _from_json(BenchReport, data, "")
+    except FormatError as exc:
+        raise FormatError(f"malformed report {path}: {exc}") from None

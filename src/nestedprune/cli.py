@@ -6,6 +6,8 @@ import argparse
 import dataclasses
 import json
 import sys
+from enum import Enum
+from typing import get_type_hints
 
 from .bench import BenchConfig, compare_pruners, emit_report, load_report
 from .engine import CvShape, StudyReport, run_study
@@ -35,44 +37,44 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default(cls, name: str):
-    for f in dataclasses.fields(cls):
-        if f.name == name:
-            if f.default is not dataclasses.MISSING:
-                return f.default
-            return f.default_factory()
-    raise AttributeError(name)
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+
+# the float fields of TraceGenConfig, each set by a flag of the same name
+_GEN_FIELDS = tuple(
+    name for name, hint in get_type_hints(TraceGenConfig).items() if hint is float
+)
+
+_FIELD_HELP = {
+    "base_min": "best per-trial base metric",
+    "base_max": "worst per-trial base metric",
+    "noise_sd": "per-step Gaussian noise",
+    "outlier_prob": "per-step outlier probability",
+    "outlier_magnitude": "outlier spike size",
+    "zero_feature_prob": "probability a trial selects no features",
+    "min_resource": "completed inner loops at the first rung unit",
+    "reduction_factor": "fraction kept per rung is 1/factor",
+    "min_early_stopping_rate": "rung-0 delay exponent",
+    "bootstrap_count": "values required at a rung before it may prune",
+}
+
+
+def _flag(dest: str) -> str:
+    return "--outlier-mag" if dest == "outlier_magnitude" else "--" + dest.replace("_", "-")
 
 
 def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--noise-sd", type=float, default=_default(TraceGenConfig, "noise_sd"),
-                        help="per-step Gaussian noise (default %(default)s)")
-    parser.add_argument("--outlier-prob", type=float,
-                        default=_default(TraceGenConfig, "outlier_prob"),
-                        help="per-step outlier probability (default %(default)s)")
-    parser.add_argument("--outlier-mag", type=float,
-                        default=_default(TraceGenConfig, "outlier_magnitude"),
-                        help="outlier spike size (default %(default)s)")
-    parser.add_argument("--zero-feature-prob", type=float,
-                        default=_default(TraceGenConfig, "zero_feature_prob"),
-                        help="probability a trial selects no features (default %(default)s)")
-    parser.add_argument("--base-min", type=float, default=_default(TraceGenConfig, "base_min"),
-                        help="best per-trial base metric (default %(default)s)")
-    parser.add_argument("--base-max", type=float, default=_default(TraceGenConfig, "base_max"),
-                        help="worst per-trial base metric (default %(default)s)")
+    # default None tells a given flag from an omitted one, which keeps the
+    # TraceGenConfig default
+    for name in _GEN_FIELDS:
+        parser.add_argument(_flag(name), dest=name, type=float, default=None,
+                            help=f"{_FIELD_HELP[name]} (default {_default(TraceGenConfig, name)})")
 
 
 def _add_asha_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-resource", type=int, default=_default(AshaConfig, "min_resource"),
-                        help="completed inner loops at the first rung unit (default %(default)s)")
-    parser.add_argument("--reduction-factor", type=int,
-                        default=_default(AshaConfig, "reduction_factor"),
-                        help="fraction kept per rung is 1/factor (default %(default)s)")
-    parser.add_argument("--min-early-stopping-rate", type=int,
-                        default=_default(AshaConfig, "min_early_stopping_rate"),
-                        help="rung-0 delay exponent (default %(default)s)")
-    parser.add_argument("--bootstrap-count", type=int,
-                        default=_default(AshaConfig, "bootstrap_count"),
-                        help="values required at a rung before it may prune (default %(default)s)")
+    for f in dataclasses.fields(AshaConfig):
+        parser.add_argument(_flag(f.name), type=type(f.default), default=f.default,
+                            help=f"{_FIELD_HELP[f.name]} (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -116,12 +118,14 @@ def build_parser() -> _Parser:
     bench = sub.add_parser("bench", help="compare pruner variants over repeated studies")
     bench.add_argument("--reps", type=int, default=_default(BenchConfig, "repetitions"),
                        help="repetitions (default %(default)s)")
-    bench.add_argument("--trials", type=int, default=_default(BenchConfig, "trials_per_rep"),
-                       help="trials per repetition (default %(default)s)")
+    bench.add_argument("--trials", type=int, default=None,
+                       help="trials per repetition "
+                            f"(default {_default(BenchConfig, 'trials_per_rep')})")
     bench.add_argument("--outer", type=int, default=None, help="outer folds (generated cohorts)")
     bench.add_argument("--inner", type=int, default=None, help="inner folds (generated cohorts)")
-    bench.add_argument("--base-seed", type=int, default=_default(BenchConfig, "base_seed"),
-                       help="repetition r uses seed base+r (default %(default)s)")
+    bench.add_argument("--base-seed", type=int, default=None,
+                       help="repetition r uses seed base+r "
+                            f"(default {_default(BenchConfig, 'base_seed')})")
     bench.add_argument("--direction", choices=sorted(_DIRECTIONS), default="min",
                        help="optimization direction (default %(default)s)")
     bench.add_argument("--traces", default=None,
@@ -146,18 +150,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _trace_gen_config(args, **settings) -> TraceGenConfig:
+    """Cohort generation settings from ``--outer``/``--inner`` and the generation flags."""
+    for name in _GEN_FIELDS:
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
+    return TraceGenConfig(shape=CvShape(outer_folds=args.outer, inner_folds=args.inner),
+                          **settings)
+
+
 def _cmd_gen(args) -> int:
-    config = TraceGenConfig(
-        trials=args.trials,
-        shape=CvShape(outer_folds=args.outer, inner_folds=args.inner),
-        seed=args.seed,
-        base_min=args.base_min,
-        base_max=args.base_max,
-        noise_sd=args.noise_sd,
-        outlier_prob=args.outlier_prob,
-        outlier_magnitude=args.outlier_mag,
-        zero_feature_prob=args.zero_feature_prob,
-    )
+    config = _trace_gen_config(args, trials=args.trials, seed=args.seed)
     cohort = generate_cohort(config)
     write_traces(cohort, args.out)
     shape = config.shape
@@ -177,12 +180,7 @@ def _pruner_config_from_args(args) -> PrunerConfig:
         optimal_value=args.optimal,
         trim_fraction=args.trim,
         threshold_window_fraction=args.window_fraction,
-        asha=AshaConfig(
-            min_resource=args.min_resource,
-            reduction_factor=args.reduction_factor,
-            min_early_stopping_rate=args.min_early_stopping_rate,
-            bootstrap_count=args.bootstrap_count,
-        ),
+        asha=AshaConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(AshaConfig)}),
         semantic_enabled=semantic,
         threshold_enabled=threshold_layer,
         comparison_enabled=comparison,
@@ -215,56 +213,25 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-_VARIANT_KEYS = {
-    "direction",
-    "threshold",
-    "extrapolation",
-    "optimal_value",
-    "trim_fraction",
-    "min_threshold_steps",
-    "threshold_window_fraction",
-    "asha",
-    "semantic_enabled",
-    "threshold_enabled",
-    "comparison_enabled",
-}
-_ASHA_KEYS = {"min_resource", "reduction_factor", "min_early_stopping_rate", "bootstrap_count"}
+def _config_from_json(cls, data, where: str, **defaults):
+    """Build config dataclass ``cls`` from a JSON object keyed by its field names.
 
-
-def _variant_config(name: str, data: dict, default_direction: Direction) -> PrunerConfig:
+    Enum fields take their value spellings; a nested config is an object.
+    """
     if not isinstance(data, dict):
-        raise ValueError(f"variants file: variant {name!r} must be an object")
-    unknown = set(data) - _VARIANT_KEYS
+        raise ValueError(f"{where} must be an object")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
-        raise ValueError(f"variants file: variant {name!r}: unknown key {sorted(unknown)[0]!r}")
-    asha_data = data.get("asha", {})
-    if not isinstance(asha_data, dict):
-        raise ValueError(f"variants file: variant {name!r}: 'asha' must be an object")
-    unknown = set(asha_data) - _ASHA_KEYS
-    if unknown:
-        raise ValueError(
-            f"variants file: variant {name!r}: unknown asha key {sorted(unknown)[0]!r}"
-        )
-    direction = default_direction
-    if "direction" in data:
-        direction = Direction(data["direction"])
-    kwargs = {
-        key: data[key]
-        for key in (
-            "threshold",
-            "optimal_value",
-            "trim_fraction",
-            "min_threshold_steps",
-            "threshold_window_fraction",
-            "semantic_enabled",
-            "threshold_enabled",
-            "comparison_enabled",
-        )
-        if key in data
-    }
-    if "extrapolation" in data:
-        kwargs["extrapolation"] = ExtrapolationMethod(data["extrapolation"])
-    return PrunerConfig(direction=direction, asha=AshaConfig(**asha_data), **kwargs)
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+    for key, value in data.items():
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _config_from_json(hint, value, f"{where}: {key!r}")
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            value = hint(value)
+        defaults[key] = value
+    return cls(**defaults)
 
 
 def _load_variants(path: str, default_direction: Direction) -> dict[str, PrunerConfig]:
@@ -278,7 +245,9 @@ def _load_variants(path: str, default_direction: Direction) -> dict[str, PrunerC
     if not isinstance(data, dict) or not data:
         raise ValueError(f"variants file {path} must be a non-empty JSON object")
     return {
-        name: _variant_config(name, variant, default_direction)
+        name: _config_from_json(
+            PrunerConfig, variant, f"variants file: variant {name!r}", direction=default_direction
+        )
         for name, variant in data.items()
     }
 
@@ -286,30 +255,25 @@ def _load_variants(path: str, default_direction: Direction) -> dict[str, PrunerC
 def _cmd_bench(args) -> int:
     direction = _DIRECTIONS[args.direction]
     variants = _load_variants(args.variants, direction)
+    trials = _default(BenchConfig, "trials_per_rep") if args.trials is None else args.trials
+    base_seed = _default(BenchConfig, "base_seed") if args.base_seed is None else args.base_seed
     if args.traces is not None:
+        for dest in ("trials", "outer", "inner", "base_seed") + _GEN_FIELDS:
+            if getattr(args, dest) is not None:
+                raise ValueError(f"{_flag(dest)} applies to generated cohorts only, "
+                                 "not with --traces")
         source = args.traces
     else:
         if args.outer is None or args.inner is None:
             raise ValueError("--outer and --inner are required unless --traces is given")
-        source = TraceGenConfig(
-            trials=args.trials,
-            shape=CvShape(outer_folds=args.outer, inner_folds=args.inner),
-            seed=args.base_seed,
-            base_min=args.base_min,
-            base_max=args.base_max,
-            noise_sd=args.noise_sd,
-            outlier_prob=args.outlier_prob,
-            outlier_magnitude=args.outlier_mag,
-            zero_feature_prob=args.zero_feature_prob,
-            direction=direction,
-        )
+        source = _trace_gen_config(args, trials=trials, seed=base_seed, direction=direction)
     config = BenchConfig(
         variants=variants,
         baseline=args.baseline,
         source=source,
         repetitions=args.reps,
-        trials_per_rep=args.trials,
-        base_seed=args.base_seed,
+        trials_per_rep=trials,
+        base_seed=base_seed,
         workers=args.workers,
     )
     report = compare_pruners(config)

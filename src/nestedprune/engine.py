@@ -68,7 +68,6 @@ class TrialStatus(Enum):
 class TrialRuntimeState:
     """Mutable per-trial bookkeeping while its steps are consumed."""
 
-    inner_folds: int
     steps_observed: int = 0
     observed_metrics: list[float] = field(default_factory=list)
     status: TrialStatus = TrialStatus.RUNNING
@@ -81,10 +80,6 @@ class TrialRuntimeState:
     @property
     def models_trained(self) -> int:
         return self.steps_observed
-
-    @property
-    def completed_inner_loops(self) -> int:
-        return self.steps_observed // self.inner_folds
 
     def mark_pruned(self, decision: Decision) -> None:
         self.status = TrialStatus.PRUNED
@@ -107,13 +102,9 @@ class StudyState:
     def ensure_trial(self, trial_id: str) -> TrialRuntimeState:
         state = self.trials.get(trial_id)
         if state is None:
-            state = TrialRuntimeState(inner_folds=self.shape.inner_folds)
+            state = TrialRuntimeState()
             self.trials[trial_id] = state
         return state
-
-    def decision_for(self, trial_id: str) -> Decision:
-        """Latest decision recorded for the trial; never changes after a prune."""
-        return self.trials[trial_id].decision
 
 
 @dataclass(frozen=True)
@@ -156,7 +147,7 @@ def run_trial(study: StudyState, trace: "TrialTrace") -> TrialOutcome:
 
     decision = CONTINUE
     for step in trace.steps:
-        decision = combined_decide(study, trace.trial_id, step, study.config)
+        decision = combined_decide(study, trace.trial_id, step)
         if decision.pruned:
             break
 

@@ -137,10 +137,11 @@ def extrapolate(
     deviations = deviations_toward_optimum(values, direction)
     if not deviations:
         return center
-    if method is ExtrapolationMethod.MAX_DEVIATION:
-        step = max(deviations)
-    else:
-        step = math.fsum(deviations) / len(deviations)
+    step = max(deviations)
+    if method is ExtrapolationMethod.MEAN_DEVIATION:
+        # the rounded division can land above the largest deviation; mean-dev
+        # must never be more optimistic than max-dev
+        step = min(math.fsum(deviations) / len(deviations), step)
     # exact arithmetic keeps the estimate between the best observed value and
     # the median; clamp so float rounding cannot escape that range
     if direction is Direction.MINIMIZE:

@@ -151,9 +151,6 @@ class RungTable:
         """Snapshot of the rung's recorded values (insertion order)."""
         return dict(self._rungs.get(rung, {}))
 
-    def rung_indices(self) -> list[int]:
-        return sorted(self._rungs)
-
 
 def semantic_decide(step: "StepRecord") -> Decision:
     """Prune immediately when the step's model selected no features at all."""
@@ -310,21 +307,19 @@ def reported_value_on_prune(observed: Sequence[float], trim_fraction: float = 0.
     return median(observed)
 
 
-def combined_decide(
-    study: "StudyState", trial_id: str, new_step: "StepRecord", config: PrunerConfig
-) -> Decision:
+def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") -> Decision:
     """Consume the trial's next step and run the enabled layers in order.
 
     Layer order per step: semantic, then threshold inside its window, then,
     only at a completed-inner-loop boundary, the comparison layer on a fresh
-    intermediate value. The first prune wins and is recorded on the trial;
-    reporting further steps for a pruned or completed trial is an error,
-    while ``StudyState.decision_for`` keeps answering with the recorded
-    decision.
+    intermediate value, all under ``study.config``. The first prune wins and
+    is recorded on the trial (``study.trials[trial_id].decision``); reporting
+    further steps for a pruned or completed trial is an error.
 
     Calls are atomic with respect to the shared study state, so concurrent
     workers (one per trial) may report into one study.
     """
+    config = study.config
     with study.lock:
         state = study.ensure_trial(trial_id)
         if not state.is_running:

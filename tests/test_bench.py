@@ -1,5 +1,6 @@
 """Unit tests for the benchmark harness and report serialization."""
 
+import hashlib
 import json
 
 import pytest
@@ -210,7 +211,7 @@ class TestReportSerialization:
         with pytest.raises(ValueError):
             emit_report(report, "xml", tmp_path / "r.xml")
 
-    def test_malformed_report_rejected(self, tmp_path):
+    def test_malformed_report_rejected(self, report, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}", encoding="utf-8")
         with pytest.raises(FormatError):
@@ -218,3 +219,33 @@ class TestReportSerialization:
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(FormatError):
             load_report(path)
+
+        def corrupt(edit, field):
+            data = json.loads(report_to_json(report))
+            edit(data)
+            path.write_text(json.dumps(data), encoding="utf-8")
+            with pytest.raises(FormatError, match=field):
+                load_report(path)
+
+        corrupt(lambda d: d["variants"][1].update(models_trained_total="7"),
+                r"variants\[1\]\.models_trained_total")
+        corrupt(lambda d: d["variants"][0]["per_rep"][1].update(completed=True),
+                r"variants\[0\]\.per_rep\[1\]\.completed")
+        corrupt(lambda d: d["variants"][0]["per_rep"][1].pop("rep"),
+                r"variants\[0\]\.per_rep\[1\]\.rep")
+
+    def test_golden_bytes(self):
+        # pins field order and number formatting of both formats
+        config = bench_config(
+            variants={"none": NO_LAYERS, "threshold": THRESHOLD_ONLY, "three-layer": variant()},
+            repetitions=3,
+        )
+        report = compare_pruners(config)
+        digests = [
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for text in (report_to_json(report), report_to_csv(report))
+        ]
+        assert digests == [
+            "ab1277ac03f4a0b6914c861213dd7ebdb2a0eb13ef68a0570be6385a7b4514d2",
+            "011565c0136312069f9dabcd0cb2fc35181d1d3822ce146783afa40811af07ae",
+        ]

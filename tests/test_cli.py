@@ -1,10 +1,12 @@
 """End-to-end tests for the command line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
-from nestedprune.cli import main
+from nestedprune import AshaConfig, Direction, ExtrapolationMethod, PrunerConfig
+from nestedprune.cli import _load_variants, main
 
 VARIANTS = {
     "asha": {"semantic_enabled": False, "threshold_enabled": False},
@@ -138,6 +140,20 @@ class TestBench:
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["trials_per_rep"] == 4
 
+    @pytest.mark.parametrize("flag", [
+        "--trials", "--outer", "--inner", "--base-seed", "--noise-sd", "--outlier-prob",
+        "--outlier-mag", "--zero-feature-prob", "--base-min", "--base-max",
+    ])
+    def test_traces_rejects_generation_flags(self, flag, tmp_path, capsys):
+        traces = tmp_path / "t.csv"
+        main(gen_args(traces, trials=4, outer=6, inner=4))
+        args = ["bench", "--traces", str(traces), flag, "5",
+                "--variants", write_variants(tmp_path), "--baseline", "asha",
+                "--out", str(tmp_path / "r.json")]
+        assert main(args) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unknown_variant_key_exits_one(self, tmp_path, capsys):
         variants = {"bad": {"thresh": 0.4}}
         args = ["bench", "--outer", "6", "--inner", "4",
@@ -186,3 +202,42 @@ class TestReport:
         bad.write_text("{}", encoding="utf-8")
         assert main(["report", "--in", str(bad), "--format", "csv",
                      "--out", str(tmp_path / "o.csv")]) == 1
+
+
+# a valid, non-default value for each variants.json key and what it becomes
+SAMPLE_VALUES = {
+    "direction": ("maximize", Direction.MAXIMIZE),
+    "threshold": (0.5, 0.5),
+    "extrapolation": ("max-dev", ExtrapolationMethod.MAX_DEVIATION),
+    "optimal_value": (0.25, 0.25),
+    "trim_fraction": (0.1, 0.1),
+    "min_threshold_steps": (6, 6),
+    "threshold_window_fraction": (0.5, 0.5),
+    "asha": ({"reduction_factor": 4}, AshaConfig(reduction_factor=4)),
+    "semantic_enabled": (False, False),
+    "threshold_enabled": (False, False),
+    "comparison_enabled": (False, False),
+    "min_resource": (2, 2),
+    "reduction_factor": (5, 5),
+    "min_early_stopping_rate": (1, 1),
+    "bootstrap_count": (3, 3),
+}
+
+
+class TestVariantKeys:
+    @pytest.mark.parametrize(
+        "owner, key",
+        [(PrunerConfig, f.name) for f in dataclasses.fields(PrunerConfig)]
+        + [(AshaConfig, f.name) for f in dataclasses.fields(AshaConfig)],
+    )
+    def test_every_config_field_is_a_key(self, owner, key, tmp_path):
+        raw, expected = SAMPLE_VALUES[key]
+        variant = {"threshold": 0.45}
+        if owner is AshaConfig:
+            variant["asha"] = {key: raw}
+        else:
+            variant[key] = raw
+        path = write_variants(tmp_path, {"v": variant})
+        config = _load_variants(path, Direction.MINIMIZE)["v"]
+        built = config.asha if owner is AshaConfig else config
+        assert getattr(built, key) == expected

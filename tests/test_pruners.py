@@ -134,7 +134,6 @@ class TestRungTable:
         snapshot = rungs.values_at(2)
         snapshot["b"] = 1.0
         assert rungs.values_at(2) == {"a": 0.4}
-        assert rungs.rung_indices() == [2]
 
 
 class TestSemanticLayer:
@@ -389,7 +388,6 @@ def feed_constant(study, trial_id, metric, features=10, limit=None):
             study,
             trial_id,
             step(trial=trial_id, outer=outer, inner=inner, metric=metric, features=features),
-            study.config,
         )
         if decision.pruned:
             return decision, index + 1
@@ -399,7 +397,7 @@ def feed_constant(study, trial_id, metric, features=10, limit=None):
 class TestCombinedDecide:
     def test_semantic_fires_on_first_step(self):
         study = make_study()
-        decision = combined_decide(study, "t0", step(trial="t0", features=0), study.config)
+        decision = combined_decide(study, "t0", step(trial="t0", features=0))
         assert decision.layer is PruneLayer.SEMANTIC
         assert study.trials["t0"].models_trained == 1
 
@@ -422,23 +420,21 @@ class TestCombinedDecide:
         study = make_study(threshold=0.3)
         decision, consumed = feed_constant(study, "t0", 0.9)
         assert decision.pruned
-        assert study.decision_for("t0") == decision
+        assert study.trials["t0"].decision == decision
         with pytest.raises(InvalidTrialStateError):
-            combined_decide(
-                study, "t0", step(trial="t0", outer=0, inner=consumed, metric=0.9), study.config
-            )
-        assert study.decision_for("t0") == decision
+            combined_decide(study, "t0", step(trial="t0", outer=0, inner=consumed, metric=0.9))
+        assert study.trials["t0"].decision == decision
 
     def test_out_of_order_step_rejected(self):
         study = make_study()
-        combined_decide(study, "t0", step(trial="t0"), study.config)
+        combined_decide(study, "t0", step(trial="t0"))
         with pytest.raises(InvalidTrialStateError):
-            combined_decide(study, "t0", step(trial="t0", outer=0, inner=5), study.config)
+            combined_decide(study, "t0", step(trial="t0", outer=0, inner=5))
 
     def test_mismatched_trial_id_rejected(self):
         study = make_study()
         with pytest.raises(InvalidTrialStateError):
-            combined_decide(study, "t0", step(trial="other"), study.config)
+            combined_decide(study, "t0", step(trial="other"))
 
     def test_disabled_layers_are_skipped(self):
         study = make_study(
@@ -493,12 +489,10 @@ class TestDirectionSymmetry:
                 decision_min = combined_decide(
                     study_min, tid,
                     step(trial=tid, outer=o, inner=i, metric=metric, features=features),
-                    cfg_min,
                 )
                 decision_max = combined_decide(
                     study_max, tid,
                     step(trial=tid, outer=o, inner=i, metric=-metric, features=features),
-                    cfg_max,
                 )
                 assert decision_min.layer == decision_max.layer
                 if decision_min.reported_value is None:
