@@ -32,7 +32,7 @@ from .errors import FormatError, InvalidTrialStateError, TraceFormatError
 from .metrics import (
     Direction,
     ExtrapolationMethod,
-    deviations_toward_optimum,
+    MetricHistory,
     extrapolate,
     median,
     trimmed_mean,
@@ -47,7 +47,6 @@ from .pruners import (
     asha_record_and_decide,
     asha_rung_resource,
     combined_decide,
-    composite_estimate,
     intermediate_value,
     reported_value_on_prune,
     rung_survivors,
@@ -71,6 +70,7 @@ __all__ = [
     "FalsePruneRecord",
     "FormatError",
     "InvalidTrialStateError",
+    "MetricHistory",
     "PruneLayer",
     "PrunerConfig",
     "RepStats",
@@ -90,8 +90,6 @@ __all__ = [
     "classify_false_prunes",
     "combined_decide",
     "compare_pruners",
-    "composite_estimate",
-    "deviations_toward_optimum",
     "emit_report",
     "extrapolate",
     "full_objective",

@@ -281,7 +281,7 @@ def emit_report(report: BenchReport, format: str, path) -> None:
         handle.write(text)
 
 
-def _from_json(hint, value, where: str):
+def from_json(hint, value, where: str):
     """Rebuild a value of type ``hint`` from parsed JSON, checking its type.
 
     Dataclasses come from objects holding every field, ``tuple[X, ...]`` from
@@ -296,13 +296,13 @@ def _from_json(hint, value, where: str):
         for name, field_hint in get_type_hints(hint).items():
             if name not in value:
                 raise FormatError(f"missing field {prefix}{name}")
-            kwargs[name] = _from_json(field_hint, value[name], prefix + name)
+            kwargs[name] = from_json(field_hint, value[name], prefix + name)
         return hint(**kwargs)
     if get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise FormatError(f"{where}: expected an array, got {type(value).__name__}")
         item = get_args(hint)[0]
-        return tuple(_from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+        return tuple(from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     if get_origin(hint) is UnionType:
         if value is None:
             return None
@@ -327,6 +327,6 @@ def load_report(path) -> BenchReport:
     if schema != REPORT_SCHEMA:
         raise FormatError(f"report {path}: unsupported report schema {schema!r}")
     try:
-        return _from_json(BenchReport, data, "")
+        return from_json(BenchReport, data, "")
     except FormatError as exc:
         raise FormatError(f"malformed report {path}: {exc}") from None

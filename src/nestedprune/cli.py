@@ -9,7 +9,7 @@ import sys
 from enum import Enum
 from typing import get_type_hints
 
-from .bench import BenchConfig, compare_pruners, emit_report, load_report
+from .bench import BenchConfig, compare_pruners, emit_report, from_json, load_report
 from .engine import CvShape, StudyReport, run_study
 from .errors import FormatError
 from .metrics import Direction, ExtrapolationMethod
@@ -216,7 +216,9 @@ def _cmd_replay(args) -> int:
 def _config_from_json(cls, data, where: str, **defaults):
     """Build config dataclass ``cls`` from a JSON object keyed by its field names.
 
-    Enum fields take their value spellings; a nested config is an object.
+    Enum fields take their value spellings, a nested config is an object, and
+    other values are type-checked as the report loader checks them; a
+    mistyped value raises ``FormatError`` naming ``where`` and the key.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be an object")
@@ -225,11 +227,16 @@ def _config_from_json(cls, data, where: str, **defaults):
     if unknown:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}")
     for key, value in data.items():
-        hint = hints[key]
+        hint, at = hints[key], f"{where}: {key!r}"
         if dataclasses.is_dataclass(hint):
-            value = _config_from_json(hint, value, f"{where}: {key!r}")
+            value = _config_from_json(hint, value, at)
         elif isinstance(hint, type) and issubclass(hint, Enum):
+            spellings = [member.value for member in hint]
+            if value not in spellings:
+                raise FormatError(f"{at}: expected one of {spellings}, got {value!r}")
             value = hint(value)
+        else:
+            value = from_json(hint, value, at)
         defaults[key] = value
     return cls(**defaults)
 

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import FormatError, InvalidTrialStateError
-from .metrics import Direction, trimmed_mean
+from .metrics import Direction, MetricHistory, trimmed_mean
 from .pruners import CONTINUE, Decision, PruneLayer, PrunerConfig, RungTable, combined_decide
 
 if TYPE_CHECKING:
@@ -69,7 +69,7 @@ class TrialRuntimeState:
     """Mutable per-trial bookkeeping while its steps are consumed."""
 
     steps_observed: int = 0
-    observed_metrics: list[float] = field(default_factory=list)
+    history: MetricHistory = field(default_factory=MetricHistory)
     status: TrialStatus = TrialStatus.RUNNING
     decision: Decision = CONTINUE
 
@@ -153,7 +153,7 @@ def run_trial(study: StudyState, trace: "TrialTrace") -> TrialOutcome:
 
     state = study.trials[trace.trial_id]
     if state.status is TrialStatus.COMPLETED:
-        reported = trimmed_mean(state.observed_metrics, study.config.trim_fraction)
+        reported = trimmed_mean(state.history, study.config.trim_fraction)
     else:
         reported = decision.reported_value
     return TrialOutcome(

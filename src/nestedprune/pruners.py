@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InvalidTrialStateError
 from .metrics import (
     Direction,
     ExtrapolationMethod,
-    extrapolate,
+    as_history,
     median,
     trimmed_mean,
     validate_trim_fraction,
@@ -181,52 +181,38 @@ def threshold_window_active(
     return steps_observed >= opens_at and completed_outer < closes_at
 
 
-def composite_estimate(
-    center: float, extrapolated: float, steps_done: int, steps_missing: int
-) -> float:
-    """Blend of the observed median and the optimistic estimate for missing steps.
-
-    Weighted by step counts: ``(center*s + extrapolated*m) / (s + m)``. The
-    result is a convex combination, so it always lies between the two inputs.
-    """
-    if steps_done < 1:
-        raise ValueError("steps_done must be >= 1")
-    if steps_missing < 0:
-        raise ValueError("steps_missing must be >= 0")
-    if steps_missing == 0:
-        return center
-    blended = (center * steps_done + extrapolated * steps_missing) / (
-        steps_done + steps_missing
-    )
-    lo, hi = min(center, extrapolated), max(center, extrapolated)
-    return min(max(blended, lo), hi)
-
-
 def threshold_decide(
-    observed: Sequence[float], steps_missing: int, config: PrunerConfig
+    observed: Iterable[float], steps_missing: int, config: PrunerConfig
 ) -> Decision:
     """Prune if even an optimistic finish of the current inner loop looks unacceptable.
 
-    ``observed`` holds every metric of the trial so far; only the current
-    inner loop's ``steps_missing`` remaining steps are extrapolated, never
-    later inner loops. The caller is responsible for checking the activation
-    window first.
+    ``observed`` holds every metric of the trial so far (a ``MetricHistory``
+    or any sequence); only the current inner loop's ``steps_missing``
+    remaining steps are extrapolated, never later inner loops. The estimate
+    blends the median and the optimistic value by step counts,
+    ``(median*done + optimistic*missing) / (done + missing)``, and is compared
+    with the threshold in exact arithmetic. The caller is responsible for
+    checking the activation window first.
     """
     if config.threshold is None:
         raise ValueError("threshold_decide requires a configured threshold")
-    center = median(observed)
-    optimistic = extrapolate(
-        observed, config.direction, config.extrapolation, optimal_value=config.optimal_value
-    )
-    estimate = composite_estimate(center, optimistic, len(observed), steps_missing)
-    if config.direction.is_worse(estimate, config.threshold):
-        reported = reported_value_on_prune(observed, config.trim_fraction)
+    if steps_missing < 0:
+        raise ValueError("steps_missing must be >= 0")
+    history = as_history(observed)
+    if history.estimate_is_worse(
+        config.threshold,
+        steps_missing,
+        config.direction,
+        config.extrapolation,
+        config.optimal_value,
+    ):
+        reported = reported_value_on_prune(history, config.trim_fraction)
         return Decision(PruneLayer.THRESHOLD, reported_value=reported)
     return CONTINUE
 
 
 def intermediate_value(
-    completed_loop_metrics: Sequence[float], trim_fraction: float = 0.2
+    completed_loop_metrics: Iterable[float], trim_fraction: float = 0.2
 ) -> float | None:
     """Pooled trimmed mean over all fully completed inner loops.
 
@@ -296,15 +282,16 @@ def asha_record_and_decide(
         rung += 1
 
 
-def reported_value_on_prune(observed: Sequence[float], trim_fraction: float = 0.2) -> float:
+def reported_value_on_prune(observed: Iterable[float], trim_fraction: float = 0.2) -> float:
     """Representative objective handed to the optimizer when a trial is cut short.
 
     Trimmed mean once five or more measurements exist; below that the trim
     would drop nothing anyway, so the median is used for robustness.
     """
-    if len(observed) >= 5:
-        return trimmed_mean(observed, trim_fraction)
-    return median(observed)
+    history = as_history(observed)
+    if len(history) >= 5:
+        return trimmed_mean(history, trim_fraction)
+    return median(history)
 
 
 def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") -> Decision:
@@ -338,7 +325,7 @@ def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") 
                 f"got ({new_step.outer_idx}, {new_step.inner_idx})"
             )
 
-        state.observed_metrics.append(new_step.metric)
+        state.history.pending.append(new_step.metric)
         state.steps_observed += 1
         completed_loops = state.steps_observed // inner
         at_loop_boundary = state.steps_observed % inner == 0
@@ -349,9 +336,9 @@ def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") 
         if not decision.pruned and config.threshold_enabled:
             if threshold_window_active(state.steps_observed, completed_loops, study.shape, config):
                 missing = -state.steps_observed % inner
-                decision = threshold_decide(state.observed_metrics, missing, config)
+                decision = threshold_decide(state.history, missing, config)
         if not decision.pruned and config.comparison_enabled and at_loop_boundary:
-            value = intermediate_value(state.observed_metrics, config.trim_fraction)
+            value = intermediate_value(state.history, config.trim_fraction)
             decision = asha_record_and_decide(
                 study.rungs, trial_id, completed_loops, value, config.direction, config.asha
             )

@@ -162,6 +162,26 @@ class TestBench:
         assert main(args) == 1
         assert "thresh" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "variant, expected",
+        [
+            ({"threshold": "0.4"}, "'threshold': expected float, got str"),
+            ({"threshold": 0.4, "min_threshold_steps": 4.5},
+             "'min_threshold_steps': expected int, got float"),
+            ({"threshold": 0.4, "asha": {"reduction_factor": True}},
+             "'reduction_factor': expected int, got bool"),
+        ],
+        ids=["string-threshold", "float-min-threshold-steps", "bool-reduction-factor"],
+    )
+    def test_mistyped_variant_value_exits_one(self, variant, expected, tmp_path, capsys):
+        args = ["bench", "--outer", "4", "--inner", "2", "--trials", "2", "--reps", "1",
+                "--variants", write_variants(tmp_path, {"v": variant}), "--baseline", "v",
+                "--out", str(tmp_path / "r.json")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "variant 'v'" in err and expected in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):

@@ -1,5 +1,6 @@
 """Unit tests for trial replay, study aggregation, and ground-truth objectives."""
 
+import hashlib
 import math
 import random
 
@@ -9,15 +10,18 @@ from nestedprune import (
     AshaConfig,
     CvShape,
     Direction,
+    ExtrapolationMethod,
     FormatError,
     InvalidTrialStateError,
     PruneLayer,
     PrunerConfig,
     StepRecord,
     StudyState,
+    TraceGenConfig,
     TrialStatus,
     TrialTrace,
     full_objective,
+    generate_cohort,
     run_study,
     run_trial,
 )
@@ -264,3 +268,61 @@ class TestFullObjective:
         a = full_objective(make_trace("a", SMALL, metrics))
         b = full_objective(make_trace("b", SMALL, shuffled))
         assert a == b
+
+
+def _decision_digest(runs) -> tuple[int, str]:
+    """Outcome count and sha256 of every ``(trial, models, layer, repr(reported))``."""
+    digest = hashlib.sha256()
+    count = 0
+    for cohort, config in runs:
+        for outcome in run_study(cohort, config).outcomes:
+            layer = outcome.pruned_layer.value if outcome.pruned_layer else None
+            record = (outcome.trial_id, outcome.models_trained, layer, repr(outcome.reported_value))
+            digest.update(repr(record).encode())
+            count += 1
+    return count, digest.hexdigest()
+
+
+class TestGoldenDecisions:
+    """Every decision and reported value, pinned bit for bit on fixed cohorts."""
+
+    TABLE_ASHA = AshaConfig(
+        min_resource=1, reduction_factor=3, min_early_stopping_rate=2, bootstrap_count=0
+    )
+
+    def test_criterion_1_cohorts(self):
+        three_layer_config = three_layer(asha=self.TABLE_ASHA)
+        asha_only = PrunerConfig(
+            direction=MIN, asha=self.TABLE_ASHA, semantic_enabled=False, threshold_enabled=False
+        )
+        runs = []
+        for seed in range(42, 72):
+            cohort = generate_cohort(TraceGenConfig(trials=40, shape=SHAPE, seed=seed))
+            runs += [(cohort, asha_only), (cohort, three_layer_config)]
+        assert _decision_digest(runs) == (
+            2400,
+            "18c9857e3c7fff91a9ad614ef71c9083fdd280b409c7220ea77dc6935b7164b6",
+        )
+
+    def test_window_open_cohorts(self):
+        """Threshold window open over the whole grid: histories grow to 300 values."""
+        runs = []
+        for direction, threshold, optimal in ((MIN, 0.55, 0.0), (Direction.MAXIMIZE, 0.55, 1.0)):
+            for seed in (7, 8, 9):
+                cohort = generate_cohort(
+                    TraceGenConfig(trials=30, shape=SHAPE, seed=seed, direction=direction)
+                )
+                for method in ExtrapolationMethod:
+                    config = PrunerConfig(
+                        direction=direction,
+                        threshold=threshold,
+                        extrapolation=method,
+                        optimal_value=optimal,
+                        threshold_window_fraction=1.0,
+                        comparison_enabled=False,
+                    )
+                    runs.append((cohort, config))
+        assert _decision_digest(runs) == (
+            720,
+            "7ccec4ffdf14d10f732025969cc9cfd8f4b7f1b089fc6ce871929de781a12f6d",
+        )

@@ -3,14 +3,16 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import exact_mean
+from oracles import brute_threshold_prunes, exact_mean, exact_median, exact_trimmed_mean
 
 from nestedprune import (
     Direction,
     ExtrapolationMethod,
-    deviations_toward_optimum,
+    MetricHistory,
+    PrunerConfig,
     extrapolate,
     median,
+    threshold_decide,
     trimmed_mean,
 )
 
@@ -86,24 +88,6 @@ class TestMedian:
         assert median([-v for v in values]) == -median(values)
 
 
-class TestDeviationsTowardOptimum:
-    def test_minimize_keeps_below_median(self):
-        # median 0.575; values below it are 0.5 and 0.55
-        devs = deviations_toward_optimum([0.6, 0.5, 0.7, 0.55], MIN)
-        assert sorted(devs) == pytest.approx([0.025, 0.075])
-
-    def test_constant_series_has_no_deviations(self):
-        assert deviations_toward_optimum([0.5, 0.5, 0.5], MIN) == []
-
-    def test_maximize_keeps_above_median(self):
-        devs = deviations_toward_optimum([0.6, 0.5, 0.7, 0.55], MAX)
-        assert sorted(devs) == pytest.approx([0.025, 0.125])
-
-    @given(metric_lists, st.sampled_from([MIN, MAX]))
-    def test_all_nonnegative(self, values, direction):
-        assert all(d >= 0 for d in deviations_toward_optimum(values, direction))
-
-
 class TestExtrapolate:
     VALUES = [0.6, 0.5, 0.7, 0.55]
 
@@ -123,6 +107,16 @@ class TestExtrapolate:
         # 0.575 - mean(0.075, 0.025)
         result = extrapolate(self.VALUES, MIN, ExtrapolationMethod.MEAN_DEVIATION)
         assert result == pytest.approx(0.525)
+
+    def test_mean_deviation_maximize(self):
+        # 0.575 + mean(0.025, 0.125): the mean of the values above the median
+        result = extrapolate(self.VALUES, MAX, ExtrapolationMethod.MEAN_DEVIATION)
+        assert result == float(exact_mean([0.6, 0.7]))
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    def test_constant_series_is_its_own_estimate(self, direction):
+        for method in (ExtrapolationMethod.MAX_DEVIATION, ExtrapolationMethod.MEAN_DEVIATION):
+            assert extrapolate([0.5] * 7, direction, method) == 0.5
 
     def test_empty_deviations_fall_back_to_median(self):
         assert extrapolate([0.5, 0.5], MIN, ExtrapolationMethod.MEAN_DEVIATION) == 0.5
@@ -170,6 +164,53 @@ class TestExtrapolate:
             [-v for v in values], direction.flipped(), method, optimal_value=-optimal
         )
         assert mirrored == -extrapolate(values, direction, method, optimal_value=optimal)
+
+
+# ties at simple values, both zeros, negatives, and subnormals that need the
+# finest scale
+history_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 0.5, -1.5, 2.0, 5e-324, -1e-310]),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+
+
+class TestMetricHistory:
+    """Statistics read from an incrementally folded history equal the exact oracles."""
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.tuples(history_values, st.booleans()), min_size=1, max_size=40),
+        st.floats(min_value=0.0, max_value=0.4999),
+        st.integers(min_value=0, max_value=12),
+        st.floats(min_value=-2.5, max_value=2.5),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    # a subnormal folded in after coarse values were summed: every sum rescales
+    @example([(0.5, False), (1.0, False), (0.25, False), (2.0, True), (5e-324, True),
+              (-0.0, False), (0.75, True)], 0.2, 3, 0.5, 0.0)
+    def test_matches_oracles_at_every_query(self, steps, trim, missing, threshold, optimal):
+        history = MetricHistory()
+        seen = []
+        for value, query in steps[:-1] + [(steps[-1][0], True)]:
+            history.pending.append(value)
+            seen.append(value)
+            if not query:
+                continue
+            assert len(history) == len(seen)
+            assert median(history) == float(exact_median(seen))
+            assert trimmed_mean(history, trim) == float(exact_trimmed_mean(seen, trim))
+            for direction in (MIN, MAX):
+                for method in ExtrapolationMethod:
+                    config = PrunerConfig(
+                        direction=direction,
+                        threshold=threshold,
+                        extrapolation=method,
+                        optimal_value=optimal,
+                    )
+                    expected = brute_threshold_prunes(
+                        seen, missing, direction, method, optimal, threshold
+                    )
+                    assert threshold_decide(history, missing, config).pruned == expected
 
 
 class TestDirection:

@@ -22,7 +22,6 @@ from nestedprune import (
     asha_record_and_decide,
     asha_rung_resource,
     combined_decide,
-    composite_estimate,
     intermediate_value,
     median,
     reported_value_on_prune,
@@ -173,32 +172,6 @@ class TestThresholdWindow:
             threshold_window_active(-1, 0, self.SHAPE, config())
 
 
-class TestCompositeEstimate:
-    def test_weighted_blend(self):
-        assert composite_estimate(0.575, 0.5, 4, 6) == pytest.approx(0.53)
-
-    def test_no_missing_steps_returns_center(self):
-        assert composite_estimate(0.575, 123.0, 10, 0) == 0.575
-
-    def test_equal_inputs_unchanged(self):
-        assert composite_estimate(0.5, 0.5, 3, 7) == 0.5
-
-    @pytest.mark.parametrize("done,missing", [(0, 5), (-1, 5), (3, -1)])
-    def test_bad_counts_rejected(self, done, missing):
-        with pytest.raises(ValueError):
-            composite_estimate(0.5, 0.5, done, missing)
-
-    @given(
-        st.floats(min_value=-100, max_value=100, allow_nan=False),
-        st.floats(min_value=-100, max_value=100, allow_nan=False),
-        st.integers(min_value=1, max_value=500),
-        st.integers(min_value=0, max_value=500),
-    )
-    def test_convex_combination(self, center, extrapolated, done, missing):
-        result = composite_estimate(center, extrapolated, done, missing)
-        assert min(center, extrapolated) <= result <= max(center, extrapolated)
-
-
 class TestThresholdDecide:
     VALUES = [0.6, 0.5, 0.7, 0.55]
 
@@ -221,6 +194,30 @@ class TestThresholdDecide:
         )
         # composite (0.575*4 + 0*6) / 10 = 0.23 <= 0.25
         assert threshold_decide(self.VALUES, 6, cfg) == CONTINUE
+
+    def test_blend_boundary_is_exact(self):
+        # median 0.59375 over 4 steps, max-dev 0.5 over 4 missing: the blend
+        # is exactly 0.546875, which is not worse than itself
+        values = [0.625, 0.5, 0.75, 0.5625]
+        cfg = config(threshold=0.546875, extrapolation=ExtrapolationMethod.MAX_DEVIATION)
+        assert threshold_decide(values, 4, cfg) == CONTINUE
+        cfg = config(
+            threshold=math.nextafter(0.546875, 0.0),
+            extrapolation=ExtrapolationMethod.MAX_DEVIATION,
+        )
+        assert threshold_decide(values, 4, cfg).pruned
+
+    def test_no_missing_steps_judges_the_median(self):
+        cfg = config(
+            threshold=0.57, extrapolation=ExtrapolationMethod.OPTIMAL_METRIC, optimal_value=0.0
+        )
+        assert threshold_decide(self.VALUES, 0, cfg).pruned  # median 0.575 > 0.57
+        assert threshold_decide(self.VALUES, 1, cfg) == CONTINUE  # 0.46 <= 0.57
+
+    @pytest.mark.parametrize("done,missing", [(0, 5), (3, -1)])
+    def test_bad_counts_rejected(self, done, missing):
+        with pytest.raises(ValueError):
+            threshold_decide([0.5] * done, missing, config())
 
     def test_requires_threshold(self):
         cfg = PrunerConfig(direction=MIN, threshold_enabled=False)
