@@ -88,6 +88,37 @@ class TestMedian:
         assert median([-v for v in values]) == -median(values)
 
 
+class TestDeviationsTowardOptimum:
+    """The one-sided deviations from the median toward the optimum, read through
+    the extrapolation they drive: mean-dev moves by their mean, max-dev by the
+    largest, and neither moves when there are none."""
+
+    VALUES = [0.6, 0.5, 0.7, 0.55]
+
+    def test_minimize_keeps_below_median(self):
+        # median 0.575; values below it are 0.5 and 0.55
+        mean_dev = extrapolate(self.VALUES, MIN, ExtrapolationMethod.MEAN_DEVIATION)
+        assert mean_dev == float(exact_mean([0.5, 0.55]))
+        assert extrapolate(self.VALUES, MIN, ExtrapolationMethod.MAX_DEVIATION) == 0.5
+
+    def test_constant_series_has_no_deviations(self):
+        for direction in (MIN, MAX):
+            for method in (ExtrapolationMethod.MAX_DEVIATION, ExtrapolationMethod.MEAN_DEVIATION):
+                assert extrapolate([0.5, 0.5, 0.5], direction, method) == 0.5
+
+    def test_maximize_keeps_above_median(self):
+        # 0.575 + mean(0.025, 0.125): the mean of the values above the median
+        mean_dev = extrapolate(self.VALUES, MAX, ExtrapolationMethod.MEAN_DEVIATION)
+        assert mean_dev == float(exact_mean([0.6, 0.7]))
+        assert extrapolate(self.VALUES, MAX, ExtrapolationMethod.MAX_DEVIATION) == 0.7
+
+    @given(metric_lists, st.sampled_from([MIN, MAX]))
+    def test_all_nonnegative(self, values, direction):
+        center = median(values)
+        for method in (ExtrapolationMethod.MAX_DEVIATION, ExtrapolationMethod.MEAN_DEVIATION):
+            assert not direction.is_worse(extrapolate(values, direction, method), center)
+
+
 class TestExtrapolate:
     VALUES = [0.6, 0.5, 0.7, 0.55]
 
@@ -107,16 +138,6 @@ class TestExtrapolate:
         # 0.575 - mean(0.075, 0.025)
         result = extrapolate(self.VALUES, MIN, ExtrapolationMethod.MEAN_DEVIATION)
         assert result == pytest.approx(0.525)
-
-    def test_mean_deviation_maximize(self):
-        # 0.575 + mean(0.025, 0.125): the mean of the values above the median
-        result = extrapolate(self.VALUES, MAX, ExtrapolationMethod.MEAN_DEVIATION)
-        assert result == float(exact_mean([0.6, 0.7]))
-
-    @pytest.mark.parametrize("direction", [MIN, MAX])
-    def test_constant_series_is_its_own_estimate(self, direction):
-        for method in (ExtrapolationMethod.MAX_DEVIATION, ExtrapolationMethod.MEAN_DEVIATION):
-            assert extrapolate([0.5] * 7, direction, method) == 0.5
 
     def test_empty_deviations_fall_back_to_median(self):
         assert extrapolate([0.5, 0.5], MIN, ExtrapolationMethod.MEAN_DEVIATION) == 0.5

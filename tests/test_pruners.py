@@ -172,6 +172,79 @@ class TestThresholdWindow:
             threshold_window_active(-1, 0, self.SHAPE, config())
 
 
+class TestCompositeEstimate:
+    """The blend ``(median*done + optimistic*missing) / (done + missing)`` that
+    ``threshold_decide`` compares with the threshold, located exactly by the
+    thresholds on either side of it."""
+
+    def test_weighted_blend(self):
+        # median 0.59375 over 4 steps, max-dev 0.5 over 12 missing: the blend
+        # is exactly 0.5234375, which is not worse than itself
+        values = [0.625, 0.5, 0.75, 0.5625]
+        cfg = config(threshold=0.5234375, extrapolation=ExtrapolationMethod.MAX_DEVIATION)
+        assert threshold_decide(values, 12, cfg) == CONTINUE
+        cfg = config(
+            threshold=math.nextafter(0.5234375, 0.0),
+            extrapolation=ExtrapolationMethod.MAX_DEVIATION,
+        )
+        assert threshold_decide(values, 12, cfg).pruned
+
+    def test_no_missing_steps_returns_center(self):
+        values = [0.6, 0.5, 0.7, 0.55]
+        cfg = config(
+            threshold=0.57, extrapolation=ExtrapolationMethod.OPTIMAL_METRIC, optimal_value=123.0
+        )
+        assert threshold_decide(values, 0, cfg).pruned  # median 0.575 > 0.57
+        cfg = config(
+            threshold=0.58, extrapolation=ExtrapolationMethod.OPTIMAL_METRIC, optimal_value=123.0
+        )
+        assert threshold_decide(values, 0, cfg) == CONTINUE
+
+    def test_equal_inputs_unchanged(self):
+        def decide(threshold):
+            cfg = config(
+                threshold=threshold,
+                extrapolation=ExtrapolationMethod.OPTIMAL_METRIC,
+                optimal_value=0.5,
+            )
+            return threshold_decide([0.5] * 3, 7, cfg)
+
+        assert decide(0.5) == CONTINUE
+        assert decide(math.nextafter(0.5, 0.0)).pruned
+
+    # a negative done count has no history to stand for, so only an empty one
+    # and negative missing steps are left to reject
+    @pytest.mark.parametrize("done,missing", [(0, 5), (3, -1)])
+    def test_bad_counts_rejected(self, done, missing):
+        with pytest.raises(ValueError):
+            threshold_decide([0.5] * done, missing, config())
+
+    @given(
+        st.floats(min_value=-100, max_value=100, allow_nan=False),
+        st.floats(min_value=-100, max_value=100, allow_nan=False),
+        st.integers(min_value=1, max_value=500),
+        st.integers(min_value=0, max_value=500),
+        st.sampled_from([MIN, MAX]),
+    )
+    def test_convex_combination(self, center, extrapolated, done, missing, direction):
+        """The blend lies between the median and the optimistic value."""
+
+        def pruned(threshold):
+            cfg = config(
+                direction=direction,
+                threshold=threshold,
+                extrapolation=ExtrapolationMethod.OPTIMAL_METRIC,
+                optimal_value=extrapolated,
+            )
+            return threshold_decide([center] * done, missing, cfg).pruned
+
+        worst = max if direction is MIN else min
+        best = min if direction is MIN else max
+        outside = -math.inf if direction is MIN else math.inf
+        assert not pruned(worst(center, extrapolated))
+        assert pruned(math.nextafter(best(center, extrapolated), outside))
+
+
 class TestThresholdDecide:
     VALUES = [0.6, 0.5, 0.7, 0.55]
 
@@ -194,30 +267,6 @@ class TestThresholdDecide:
         )
         # composite (0.575*4 + 0*6) / 10 = 0.23 <= 0.25
         assert threshold_decide(self.VALUES, 6, cfg) == CONTINUE
-
-    def test_blend_boundary_is_exact(self):
-        # median 0.59375 over 4 steps, max-dev 0.5 over 4 missing: the blend
-        # is exactly 0.546875, which is not worse than itself
-        values = [0.625, 0.5, 0.75, 0.5625]
-        cfg = config(threshold=0.546875, extrapolation=ExtrapolationMethod.MAX_DEVIATION)
-        assert threshold_decide(values, 4, cfg) == CONTINUE
-        cfg = config(
-            threshold=math.nextafter(0.546875, 0.0),
-            extrapolation=ExtrapolationMethod.MAX_DEVIATION,
-        )
-        assert threshold_decide(values, 4, cfg).pruned
-
-    def test_no_missing_steps_judges_the_median(self):
-        cfg = config(
-            threshold=0.57, extrapolation=ExtrapolationMethod.OPTIMAL_METRIC, optimal_value=0.0
-        )
-        assert threshold_decide(self.VALUES, 0, cfg).pruned  # median 0.575 > 0.57
-        assert threshold_decide(self.VALUES, 1, cfg) == CONTINUE  # 0.46 <= 0.57
-
-    @pytest.mark.parametrize("done,missing", [(0, 5), (3, -1)])
-    def test_bad_counts_rejected(self, done, missing):
-        with pytest.raises(ValueError):
-            threshold_decide([0.5] * done, missing, config())
 
     def test_requires_threshold(self):
         cfg = PrunerConfig(direction=MIN, threshold_enabled=False)
