@@ -118,24 +118,24 @@ class BenchConfig:
 
 def classify_false_prunes(
     outcomes: Sequence[TrialOutcome],
-    cohort: Sequence[TrialTrace],
+    objectives: Mapping[str, float],
     config: PrunerConfig,
     rep: int = 0,
 ) -> list[FalsePruneRecord]:
     """Threshold-pruned trials whose full-run objective beat the threshold.
 
-    Only the threshold layer is judged against its own threshold; comparison
-    prunes have no such reference and are assessed via best-trial
-    preservation instead.
+    ``objectives`` maps each trial id to its ``full_objective`` under
+    ``config.trim_fraction``. Only the threshold layer is judged against its
+    own threshold; comparison prunes have no such reference and are assessed
+    via best-trial preservation instead.
     """
     if config.threshold is None:
         return []
-    traces = {trace.trial_id: trace for trace in cohort}
     records = []
     for outcome in outcomes:
         if outcome.pruned_layer is not PruneLayer.THRESHOLD:
             continue
-        objective = full_objective(traces[outcome.trial_id], config.trim_fraction)
+        objective = objectives[outcome.trial_id]
         if config.direction.is_worse(config.threshold, objective):
             records.append(
                 FalsePruneRecord(
@@ -149,22 +149,30 @@ def classify_false_prunes(
     return records
 
 
-def _best_trial_id(
-    cohort: Sequence[TrialTrace], direction: Direction, trim_fraction: float
-) -> str:
-    objectives = [(full_objective(t, trim_fraction), t.trial_id) for t in cohort]
-    pick = min if direction is Direction.MINIMIZE else max
-    return pick(objectives, key=lambda pair: pair[0])[1]
+def _objectives(
+    cohort: Sequence[TrialTrace], trim_fractions: set[float]
+) -> dict[float, dict[str, float]]:
+    """Each trial's ``full_objective`` under each trim fraction, by trial id."""
+    return {
+        trim: {trace.trial_id: full_objective(trace, trim) for trace in cohort}
+        for trim in trim_fractions
+    }
 
 
 def compare_pruners(config: BenchConfig) -> BenchReport:
-    """Run every variant over every repetition's cohort and aggregate."""
+    """Run every variant over every repetition's cohort and aggregate.
+
+    Each cohort's ground truth is scored once per distinct trim fraction;
+    every variant reads it from there.
+    """
+    trims = {variant.trim_fraction for variant in config.variants.values()}
     if isinstance(config.source, TraceGenConfig):
         fixed_cohort = None
         trials_per_rep = config.trials_per_rep
         shape = config.source.shape
     else:
         fixed_cohort = read_traces(config.source)
+        fixed_objectives = _objectives(fixed_cohort, trims)
         trials_per_rep = len(fixed_cohort)
         shape = fixed_cohort[0].shape
 
@@ -176,15 +184,18 @@ def compare_pruners(config: BenchConfig) -> BenchReport:
             cohort = generate_cohort(
                 replace(config.source, seed=config.base_seed + rep, trials=trials_per_rep)
             )
+            objectives_by_trim = _objectives(cohort, trims)
         else:
-            cohort = fixed_cohort
+            cohort, objectives_by_trim = fixed_cohort, fixed_objectives
         for name, variant in config.variants.items():
             study = run_study(cohort, variant, workers=config.workers)
+            objectives = objectives_by_trim[variant.trim_fraction]
             records = []
             if variant.threshold_enabled:
-                records = classify_false_prunes(study.outcomes, cohort, variant, rep=rep)
+                records = classify_false_prunes(study.outcomes, objectives, variant, rep=rep)
             false_prunes[name].extend(records)
-            best_id = _best_trial_id(cohort, variant.direction, variant.trim_fraction)
+            pick = min if variant.direction is Direction.MINIMIZE else max
+            best_id = pick(objectives, key=objectives.__getitem__)
             best_outcome = next(o for o in study.outcomes if o.trial_id == best_id)
             per_variant[name].append(
                 RepStats(

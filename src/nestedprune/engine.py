@@ -13,6 +13,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import FormatError, InvalidTrialStateError
@@ -38,8 +39,13 @@ class CvShape:
     def total_steps(self) -> int:
         return self.outer_folds * self.inner_folds
 
+    @cached_property
+    def positions(self) -> tuple[tuple[int, int], ...]:
+        """Every ``(outer, inner)`` grid position, in row-major order."""
+        return tuple(divmod(index, self.inner_folds) for index in range(self.total_steps))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """One trained model's validation outcome at an (outer, inner) grid position."""
 
@@ -145,9 +151,12 @@ def run_trial(study: StudyState, trace: "TrialTrace") -> TrialOutcome:
     if trace.trial_id in study.trials:
         raise InvalidTrialStateError(f"trial {trace.trial_id!r} already ran in this study")
 
+    trial_id = trace.trial_id
     decision = CONTINUE
-    for step in trace.steps:
-        decision = combined_decide(study, trace.trial_id, step)
+    columns = zip(trace.shape.positions, trace.metrics, trace.features)
+    for (outer, inner), metric, count in columns:
+        step = StepRecord(trial_id, outer, inner, metric, count)
+        decision = combined_decide(study, trial_id, step)
         if decision.pruned:
             break
 
@@ -228,9 +237,4 @@ def run_study(
 
 def full_objective(trace: "TrialTrace", trim_fraction: float = 0.2) -> float:
     """Ground-truth objective of a trial: trimmed mean over the entire grid."""
-    if len(trace.steps) != trace.shape.total_steps:
-        raise FormatError(
-            f"trial {trace.trial_id!r} is incomplete: {len(trace.steps)} of "
-            f"{trace.shape.total_steps} steps"
-        )
-    return trimmed_mean([step.metric for step in trace.steps], trim_fraction)
+    return trimmed_mean(trace.metrics, trim_fraction)

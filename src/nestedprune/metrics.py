@@ -148,10 +148,10 @@ class MetricHistory:
 
     def median(self) -> float:
         ordered = self._ordered()
-        mid = len(ordered) // 2
         if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2
+            return ordered[len(ordered) // 2]
+        # the exact midpoint rounded once: a central pair may sum past the float range
+        return self._center2() / (2 << self._bits)
 
     def trimmed_mean(self, trim_fraction: float) -> float:
         count = len(self._ordered())

@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -55,6 +57,10 @@ class TraceGenConfig:
     symmetric_outliers: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.base_min <= self.base_max:
@@ -69,66 +75,130 @@ class TraceGenConfig:
             raise ValueError("outlier_magnitude must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TrialTrace:
-    """The complete ordered step sequence of one trial over the full grid."""
+    """One trial over the full grid, as two columns in row-major order.
+
+    ``metrics[i]`` and ``features[i]`` (the selected-feature count) belong to
+    grid position ``shape.positions[i]``. The columns are checked once, in
+    bulk, when the trace is made: one value per grid position, every metric
+    finite, every count >= 0. ``TrialTrace(trial_id, shape, steps)`` takes
+    ``StepRecord``s instead, checks their ids and positions, and derives the
+    columns from them. ``steps`` gives the ``StepRecord``s back.
+    """
 
     trial_id: str
     shape: CvShape
-    steps: tuple[StepRecord, ...]
+    metrics: tuple[float, ...]
+    features: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.steps) != self.shape.total_steps:
+    def __init__(
+        self,
+        trial_id: str,
+        shape: CvShape,
+        steps: Sequence[StepRecord] | None = None,
+        *,
+        metrics: Sequence[float] | None = None,
+        features: Sequence[int] | None = None,
+    ) -> None:
+        if steps is not None:
+            if metrics is not None or features is not None:
+                raise TypeError("a trace takes either steps, or metrics and features")
+            steps = tuple(steps)
+            _check_steps(trial_id, shape, steps)
+            metrics = [step.metric for step in steps]
+            features = [step.selected_feature_count for step in steps]
+            object.__setattr__(self, "steps", steps)
+        elif metrics is None or features is None:
+            raise TypeError("a trace takes either steps, or metrics and features")
+        object.__setattr__(self, "trial_id", trial_id)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "metrics", tuple(metrics))
+        object.__setattr__(self, "features", tuple(features))
+        self._check_columns()
+
+    def _check_columns(self) -> None:
+        total = self.shape.total_steps
+        for name, column in (("metrics", self.metrics), ("feature counts", self.features)):
+            if len(column) != total:
+                raise TraceFormatError(
+                    f"trial {self.trial_id!r} has {len(column)} {name}, expected {total}"
+                )
+        if not all(map(math.isfinite, self.metrics)):
+            bad = next(filterfalse(math.isfinite, self.metrics))
+            position = self.shape.positions[self.metrics.index(bad)]
             raise TraceFormatError(
-                f"trial {self.trial_id!r} has {len(self.steps)} steps, "
-                f"expected {self.shape.total_steps}"
+                f"trial {self.trial_id!r}: metric at step {position} must be finite, got {bad}"
             )
-        for index, step in enumerate(self.steps):
-            expected = divmod(index, self.shape.inner_folds)
-            if step.trial_id != self.trial_id:
-                raise TraceFormatError(
-                    f"step {index} of trial {self.trial_id!r} carries id {step.trial_id!r}"
-                )
-            if (step.outer_idx, step.inner_idx) != expected:
-                raise TraceFormatError(
-                    f"trial {self.trial_id!r}: step {index} is "
-                    f"({step.outer_idx}, {step.inner_idx}), expected {expected}"
-                )
+        if min(self.features) < 0:
+            index = next(i for i, count in enumerate(self.features) if count < 0)
+            raise TraceFormatError(
+                f"trial {self.trial_id!r}: selected_feature_count at step "
+                f"{self.shape.positions[index]} must be >= 0, got {self.features[index]}"
+            )
+
+    @cached_property
+    def steps(self) -> tuple[StepRecord, ...]:
+        """The steps as ``StepRecord``s: built from the columns on first read, then kept.
+
+        A trace made from steps keeps the tuple it was given.
+        """
+        trial_id = self.trial_id
+        return tuple(
+            StepRecord(trial_id, outer, inner, metric, count)
+            for (outer, inner), metric, count in zip(
+                self.shape.positions, self.metrics, self.features
+            )
+        )
+
+
+def _check_steps(trial_id: str, shape: CvShape, steps: tuple[StepRecord, ...]) -> None:
+    if len(steps) != shape.total_steps:
+        raise TraceFormatError(
+            f"trial {trial_id!r} has {len(steps)} steps, expected {shape.total_steps}"
+        )
+    for index, (step, expected) in enumerate(zip(steps, shape.positions)):
+        if step.trial_id != trial_id:
+            raise TraceFormatError(
+                f"step {index} of trial {trial_id!r} carries id {step.trial_id!r}"
+            )
+        if (step.outer_idx, step.inner_idx) != expected:
+            raise TraceFormatError(
+                f"trial {trial_id!r}: step {index} is "
+                f"({step.outer_idx}, {step.inner_idx}), expected {expected}"
+            )
 
 
 def generate_cohort(config: TraceGenConfig) -> list[TrialTrace]:
     """Generate a deterministic cohort; identical configs yield identical cohorts."""
     rng = random.Random(config.seed)
+    gauss, draw, randint = rng.gauss, rng.random, rng.randint
     minimize = config.direction is Direction.MINIMIZE
     worst_base = config.base_max if minimize else config.base_min
+    noise_sd, outlier_prob = config.noise_sd, config.outlier_prob
+    spike = config.outlier_magnitude if minimize else -config.outlier_magnitude
+    symmetric = config.symmetric_outliers
+    total = config.shape.total_steps
     cohort: list[TrialTrace] = []
     for index in range(config.trials):
         base = rng.uniform(config.base_min, config.base_max)
-        zero_features = rng.random() < config.zero_feature_prob
+        zero_features = draw() < config.zero_feature_prob
         if zero_features:
             base = worst_base
-        trial_id = f"trial_{index:03d}"
-        steps = []
-        for outer in range(config.shape.outer_folds):
-            for inner in range(config.shape.inner_folds):
-                metric = base + rng.gauss(0.0, config.noise_sd)
-                if rng.random() < config.outlier_prob:
-                    magnitude = config.outlier_magnitude
-                    if config.symmetric_outliers and rng.random() < 0.5:
-                        magnitude = -magnitude
-                    metric += magnitude if minimize else -magnitude
-                if minimize and metric < 0.0:
-                    metric = 0.0
-                steps.append(
-                    StepRecord(
-                        trial_id=trial_id,
-                        outer_idx=outer,
-                        inner_idx=inner,
-                        metric=metric,
-                        selected_feature_count=0 if zero_features else rng.randint(1, 100),
-                    )
-                )
-        cohort.append(TrialTrace(trial_id=trial_id, shape=config.shape, steps=tuple(steps)))
+        # the draws per step, in order: noise, outlier, outlier sign, feature count
+        metrics: list[float] = []
+        features: list[int] = []
+        for _ in range(total):
+            metric = base + gauss(0.0, noise_sd)
+            if draw() < outlier_prob:
+                metric += -spike if symmetric and draw() < 0.5 else spike
+            if minimize and metric < 0.0:
+                metric = 0.0
+            metrics.append(metric)
+            features.append(0 if zero_features else randint(1, 100))
+        cohort.append(
+            TrialTrace(f"trial_{index:03d}", config.shape, metrics=metrics, features=features)
+        )
     return cohort
 
 
@@ -148,16 +218,13 @@ def _write_file(traces: Iterable[TrialTrace], path: Path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
         for trace in traces:
-            for step in trace.steps:
-                writer.writerow(
-                    [
-                        trace.trial_id,
-                        step.outer_idx,
-                        step.inner_idx,
-                        format(step.metric, ".17g"),
-                        step.selected_feature_count,
-                    ]
+            trial_id = trace.trial_id
+            writer.writerows(
+                (trial_id, outer, inner, format(metric, ".17g"), count)
+                for (outer, inner), metric, count in zip(
+                    trace.shape.positions, trace.metrics, trace.features
                 )
+            )
 
 
 def read_traces(path) -> list[TrialTrace]:
@@ -188,10 +255,23 @@ def read_traces(path) -> list[TrialTrace]:
 
 
 def _read_file(path: Path) -> list[TrialTrace]:
+    """Parse rows straight into columns, then cut them into trials.
+
+    Each row gets one check; only a row that fails it is parsed again, by
+    ``_row_problem``, for the message. Errors in rows come before errors in
+    how trials are laid out, wherever in the file they are.
+    """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise TraceFormatError(f"cannot open trace file: {exc}", path=path) from exc
+    isfinite = math.isfinite
+    metrics: list[float] = []
+    features: list[int] = []
+    outers: list[int] = []
+    inners: list[int] = []
+    trial_ids: list[str] = []  # one per block of contiguous rows
+    starts: list[int] = []
     with handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -199,115 +279,125 @@ def _read_file(path: Path) -> list[TrialTrace]:
             raise TraceFormatError(
                 f"header must be {','.join(TRACE_HEADER)}", path=path, line=1
             )
-        rows = []
+        current = None
         for row in reader:
-            rows.append((reader.line_num, _parse_row(row, path, reader.line_num)))
-    if not rows:
+            try:
+                trial_id, outer, inner, metric, count = row
+                outer, inner, count, metric = int(outer), int(inner), int(count), float(metric)
+                valid = trial_id and outer >= 0 and inner >= 0 and count >= 0 and isfinite(metric)
+            except ValueError:
+                valid = False
+            if not valid:
+                raise TraceFormatError(_row_problem(row), path=path, line=reader.line_num)
+            if trial_id != current:
+                current = trial_id
+                trial_ids.append(trial_id)
+                starts.append(len(metrics))
+            metrics.append(metric)
+            features.append(count)
+            outers.append(outer)
+            inners.append(inner)
+    if not metrics:
         raise TraceFormatError("trace file contains no step rows", path=path)
+    starts.append(len(metrics))
 
-    blocks: list[tuple[str, list[tuple[int, StepRecord]]]] = []
-    block_of: dict[str, int] = {}
-    for line, step in rows:
-        if blocks and blocks[-1][0] == step.trial_id:
-            blocks[-1][1].append((line, step))
-            continue
-        if step.trial_id in block_of:
+    seen: set[str] = set()
+    for trial_id, start in zip(trial_ids, starts):
+        if trial_id in seen:
             raise TraceFormatError(
-                f"rows of trial {step.trial_id!r} must be contiguous", path=path, line=line
+                f"rows of trial {trial_id!r} must be contiguous",
+                path=path, line=_line_of(path, start),
             )
-        block_of[step.trial_id] = len(blocks)
-        blocks.append((step.trial_id, [(line, step)]))
+        seen.add(trial_id)
 
     shape: CvShape | None = None
+    grids: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     cohort = []
-    for trial_id, block in blocks:
-        cohort.append(_assemble_trial(trial_id, block, shape, path))
-        shape = cohort[0].shape
+    for trial_id, start, stop in zip(trial_ids, starts, starts[1:]):
+        rows = stop - start
+        if shape is not None:
+            inner_folds = shape.inner_folds
+        else:
+            # row-major order puts all of outer fold 0 first
+            inner_folds = next((i for i, o in enumerate(outers[start:stop]) if o != 0), rows)
+            if inner_folds == 0:
+                raise TraceFormatError(
+                    f"trial {trial_id!r} must start at step (outer, inner)=(0, 0)",
+                    path=path, line=_line_of(path, start),
+                )
+        if (inner_folds, rows) not in grids:
+            grids[inner_folds, rows] = (
+                [i // inner_folds for i in range(rows)],
+                [i % inner_folds for i in range(rows)],
+            )
+        want_outers, want_inners = grids[inner_folds, rows]
+        if outers[start:stop] != want_outers or inners[start:stop] != want_inners:
+            index = next(
+                i for i in range(rows)
+                if (outers[start + i], inners[start + i]) != (want_outers[i], want_inners[i])
+            )
+            raise TraceFormatError(
+                f"trial {trial_id!r}: expected step (outer, inner)="
+                f"{(want_outers[index], want_inners[index])}, "
+                f"got ({outers[start + index]}, {inners[start + index]}); grid rows must be "
+                "complete, unique, and in row-major order",
+                path=path, line=_line_of(path, start + index),
+            )
+        if shape is None:
+            if rows % inner_folds != 0:
+                raise TraceFormatError(
+                    f"trial {trial_id!r} ends mid inner loop: {rows} rows with "
+                    f"{inner_folds} inner folds",
+                    path=path, line=_line_of(path, stop - 1),
+                )
+            try:
+                shape = CvShape(outer_folds=rows // inner_folds, inner_folds=inner_folds)
+            except ValueError as exc:
+                raise TraceFormatError(str(exc), path=path, line=_line_of(path, stop - 1)) from exc
+        elif rows != shape.total_steps:
+            raise TraceFormatError(
+                f"trial {trial_id!r} has {rows} rows, cohort shape "
+                f"{shape.outer_folds}x{shape.inner_folds} requires {shape.total_steps}",
+                path=path, line=_line_of(path, stop - 1),
+            )
+        cohort.append(
+            TrialTrace(
+                trial_id, shape, metrics=metrics[start:stop], features=features[start:stop]
+            )
+        )
     return cohort
 
 
-def _parse_row(row: list[str], path: Path, line: int) -> StepRecord:
+def _row_problem(row: list[str]) -> str:
+    """Why a row failed the one check ``_read_file`` gives it, in the order checked."""
     if len(row) != len(TRACE_HEADER):
-        raise TraceFormatError(
-            f"expected {len(TRACE_HEADER)} fields, got {len(row)}", path=path, line=line
-        )
+        return f"expected {len(TRACE_HEADER)} fields, got {len(row)}"
     trial_id, outer_text, inner_text, metric_text, count_text = row
     if not trial_id:
-        raise TraceFormatError("trial_id must be non-empty", path=path, line=line)
+        return "trial_id must be non-empty"
     try:
-        outer = int(outer_text)
-        inner = int(inner_text)
-        count = int(count_text)
+        outer, inner, count = int(outer_text), int(inner_text), int(count_text)
     except ValueError as exc:
-        raise TraceFormatError(f"bad integer field: {exc}", path=path, line=line) from exc
+        return f"bad integer field: {exc}"
     try:
         metric = float(metric_text)
     except ValueError as exc:
-        raise TraceFormatError(f"bad metric field: {exc}", path=path, line=line) from exc
+        return f"bad metric field: {exc}"
     if not math.isfinite(metric):
-        raise TraceFormatError(f"metric must be finite, got {metric_text}", path=path, line=line)
-    try:
-        return StepRecord(
-            trial_id=trial_id,
-            outer_idx=outer,
-            inner_idx=inner,
-            metric=metric,
-            selected_feature_count=count,
-        )
-    except ValueError as exc:
-        raise TraceFormatError(str(exc), path=path, line=line) from exc
+        return f"metric must be finite, got {metric_text}"
+    if outer < 0 or inner < 0:
+        return "fold indices must be >= 0"
+    return "selected_feature_count must be >= 0"
 
 
-def _assemble_trial(
-    trial_id: str,
-    block: list[tuple[int, StepRecord]],
-    cohort_shape: CvShape | None,
-    path: Path,
-) -> TrialTrace:
-    if cohort_shape is not None:
-        inner_folds = cohort_shape.inner_folds
-    else:
-        # row-major order puts all of outer fold 0 first
-        inner_folds = 0
-        for _, step in block:
-            if step.outer_idx != 0:
-                break
-            inner_folds += 1
-        if inner_folds == 0:
-            raise TraceFormatError(
-                f"trial {trial_id!r} must start at step (outer, inner)=(0, 0)",
-                path=path,
-                line=block[0][0],
-            )
-    for index, (line, step) in enumerate(block):
-        expected = divmod(index, inner_folds)
-        if (step.outer_idx, step.inner_idx) != expected:
-            raise TraceFormatError(
-                f"trial {trial_id!r}: expected step (outer, inner)={expected}, "
-                f"got ({step.outer_idx}, {step.inner_idx}); grid rows must be "
-                "complete, unique, and in row-major order",
-                path=path,
-                line=line,
-            )
-    if cohort_shape is None:
-        if len(block) % inner_folds != 0:
-            raise TraceFormatError(
-                f"trial {trial_id!r} ends mid inner loop: {len(block)} rows with "
-                f"{inner_folds} inner folds",
-                path=path,
-                line=block[-1][0],
-            )
-        try:
-            shape = CvShape(outer_folds=len(block) // inner_folds, inner_folds=inner_folds)
-        except ValueError as exc:
-            raise TraceFormatError(str(exc), path=path, line=block[-1][0]) from exc
-    else:
-        shape = cohort_shape
-        if len(block) != shape.total_steps:
-            raise TraceFormatError(
-                f"trial {trial_id!r} has {len(block)} rows, cohort shape "
-                f"{shape.outer_folds}x{shape.inner_folds} requires {shape.total_steps}",
-                path=path,
-                line=block[-1][0],
-            )
-    return TrialTrace(trial_id=trial_id, shape=shape, steps=tuple(s for _, s in block))
+def _line_of(path: Path, index: int) -> int:
+    """The line the data row at ``index`` ends on; the file is read again, for errors only.
+
+    Quoted fields may hold line breaks, so rows and lines need not match.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        for count, _ in enumerate(reader):
+            if count == index + 1:  # row 0 is the header
+                return reader.line_num
+    raise AssertionError(f"{path} has no data row {index}")

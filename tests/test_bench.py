@@ -6,9 +6,11 @@ import json
 import pytest
 
 from nestedprune import (
+    AshaConfig,
     BenchConfig,
     CvShape,
     Direction,
+    ExtrapolationMethod,
     FormatError,
     PrunerConfig,
     StepRecord,
@@ -17,10 +19,12 @@ from nestedprune import (
     classify_false_prunes,
     compare_pruners,
     emit_report,
+    full_objective,
     load_report,
     run_study,
     write_traces,
 )
+from nestedprune import bench, engine
 from nestedprune.bench import report_to_csv, report_to_json
 
 MIN = Direction.MINIMIZE
@@ -33,6 +37,10 @@ def constant_trace(trial_id, metric, features=10, shape=SHAPE):
         for i in range(shape.total_steps)
     )
     return TrialTrace(trial_id=trial_id, shape=shape, steps=steps)
+
+
+def objectives(cohort, trim_fraction=0.2):
+    return {trace.trial_id: full_objective(trace, trim_fraction) for trace in cohort}
 
 
 def gen_config(**overrides):
@@ -106,7 +114,7 @@ class TestClassifyFalsePrunes:
         report = run_study(cohort, THRESHOLD_ONLY)
         outcome = report.outcomes[0]
         assert outcome.pruned_layer is not None
-        records = classify_false_prunes(report.outcomes, cohort, THRESHOLD_ONLY, rep=4)
+        records = classify_false_prunes(report.outcomes, objectives(cohort), THRESHOLD_ONLY, rep=4)
         assert len(records) == 1
         record = records[0]
         assert record.rep == 4 and record.trial_id == "t0"
@@ -117,13 +125,13 @@ class TestClassifyFalsePrunes:
         cohort = [constant_trace("t0", 0.50)]
         report = run_study(cohort, THRESHOLD_ONLY)
         assert report.outcomes[0].pruned_layer is not None
-        assert classify_false_prunes(report.outcomes, cohort, THRESHOLD_ONLY) == []
+        assert classify_false_prunes(report.outcomes, objectives(cohort), THRESHOLD_ONLY) == []
 
     def test_completed_trials_never_classified(self):
         cohort = [constant_trace("t0", 0.40)]
         report = run_study(cohort, THRESHOLD_ONLY)
         assert report.outcomes[0].status.value == "completed"
-        assert classify_false_prunes(report.outcomes, cohort, THRESHOLD_ONLY) == []
+        assert classify_false_prunes(report.outcomes, objectives(cohort), THRESHOLD_ONLY) == []
 
 
 class TestComparePruners:
@@ -160,6 +168,35 @@ class TestComparePruners:
         none = next(v for v in report.variants if v.name == "none")
         # same cohort replayed each repetition
         assert none.per_rep[0].models_trained == none.per_rep[1].models_trained
+
+    def test_ground_truth_scored_once_per_cohort(self, monkeypatch):
+        calls = []
+        score = engine.full_objective
+
+        def counted(trace, trim_fraction=0.2):
+            calls.append(trace.trial_id)
+            return score(trace, trim_fraction)
+
+        # bench calls full_objective through the name it imported from engine
+        for module in (engine, bench):
+            monkeypatch.setattr(module, "full_objective", counted)
+        # the criterion-1 variants: scoring once per variant made 313 calls
+        asha = AshaConfig(min_resource=1, reduction_factor=3, min_early_stopping_rate=2)
+        config = bench_config(
+            variants={
+                "asha": variant(threshold=None, semantic_enabled=False,
+                                threshold_enabled=False, asha=asha),
+                "three-layer": variant(extrapolation=ExtrapolationMethod.MEAN_DEVIATION,
+                                       optimal_value=0.0, asha=asha),
+            },
+            baseline="asha",
+            source=gen_config(shape=CvShape(outer_folds=30, inner_folds=10)),
+            repetitions=3,
+            trials_per_rep=40,
+            base_seed=42,
+        )
+        compare_pruners(config)
+        assert len(calls) == 3 * 40
 
     def test_report_metadata(self):
         report = compare_pruners(bench_config())

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -51,6 +52,30 @@ class TestGen:
         with pytest.raises(SystemExit) as info:
             main(gen_args(tmp_path / "t.csv") + ["--bogus"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize(
+        "flag, field, value",
+        [
+            ("--base-min", "base_min", "nan"),
+            ("--base-max", "base_max", "inf"),
+            ("--noise-sd", "noise_sd", "nan"),
+            ("--outlier-prob", "outlier_prob", "nan"),
+            ("--outlier-mag", "outlier_magnitude", "inf"),
+            ("--zero-feature-prob", "zero_feature_prob", "nan"),
+        ],
+    )
+    def test_non_finite_setting_named(self, tmp_path, capsys, flag, field, value):
+        assert main(gen_args(tmp_path / "t.csv") + [flag, value]) == 1
+        assert f"{field} must be finite, got {value}" in capsys.readouterr().err
+
+    def test_overflowing_metric_rejected(self, tmp_path, capsys):
+        # every setting is finite, but base plus outlier spike is not
+        args = gen_args(tmp_path / "t.csv") + [
+            "--base-min", "1.7e308", "--base-max", "1.7e308",
+            "--outlier-prob", "1", "--outlier-mag", "1e308",
+        ]
+        assert main(args) == 1
+        assert "must be finite, got inf" in capsys.readouterr().err
 
 
 class TestReplay:
@@ -139,6 +164,23 @@ class TestBench:
         assert main(args) == 0
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["trials_per_rep"] == 4
+
+    def test_traces_report_bytes(self, tmp_path):
+        # sha256 recorded before traces were held as columns
+        traces = tmp_path / "t.csv"
+        assert main(gen_args(traces, trials=40, outer=30, inner=10, seed=42)) == 0
+        report_json, report_csv = tmp_path / "report.json", tmp_path / "report.csv"
+        assert main(["bench", "--reps", "1", "--traces", str(traces),
+                     "--variants", write_variants(tmp_path), "--baseline", "asha",
+                     "--out", str(report_json)]) == 0
+        assert main(["report", "--in", str(report_json), "--format", "csv",
+                     "--out", str(report_csv)]) == 0
+        assert hashlib.sha256(report_json.read_bytes()).hexdigest() == (
+            "0fce4ab317baf73ca8844c48803e2db59a2d52f9303a5ba421174334f770dd09"
+        )
+        assert hashlib.sha256(report_csv.read_bytes()).hexdigest() == (
+            "6baa6f23833cfdec3e222165da119d4948f6d3b75dadf44b5a94adaeef08c1b1"
+        )
 
     @pytest.mark.parametrize("flag", [
         "--trials", "--outer", "--inner", "--base-seed", "--noise-sd", "--outlier-prob",

@@ -209,6 +209,8 @@ class TestMetricHistory:
     # a subnormal folded in after coarse values were summed: every sum rescales
     @example([(0.5, False), (1.0, False), (0.25, False), (2.0, True), (5e-324, True),
               (-0.0, False), (0.75, True)], 0.2, 3, 0.5, 0.0)
+    # a central pair whose float sum overflows: the midpoint is still finite
+    @example([(1e308, False), (1.7e308, True)], 0.2, 3, 0.5, 0.0)
     def test_matches_oracles_at_every_query(self, steps, trim, missing, threshold, optimal):
         history = MetricHistory()
         seen = []

@@ -1,18 +1,25 @@
 """Unit tests for synthetic generation and the trace CSV format."""
 
+import dataclasses
+import hashlib
+import math
+
 import pytest
 
 from nestedprune import (
     CvShape,
     Direction,
+    PrunerConfig,
     StepRecord,
     TraceFormatError,
     TraceGenConfig,
     TrialTrace,
     generate_cohort,
     read_traces,
+    run_study,
     write_traces,
 )
+from nestedprune.cli import main
 
 SHAPE = CvShape(outer_folds=3, inner_folds=2)
 
@@ -59,6 +66,115 @@ class TestTrialTraceInvariants:
         steps[4] = StepRecord("other", 2, 0, 0.5, 3)
         with pytest.raises(TraceFormatError):
             TrialTrace(trial_id="t", shape=SHAPE, steps=tuple(steps))
+
+
+class TestTrialTraceColumns:
+    def columns(self, metrics=None, features=None):
+        total = SHAPE.total_steps
+        return dict(
+            metrics=[0.5] * total if metrics is None else metrics,
+            features=[3] * total if features is None else features,
+        )
+
+    def test_columns_are_tuples(self):
+        trace = TrialTrace("t", SHAPE, **self.columns())
+        assert trace.metrics == (0.5,) * 6 and trace.features == (3,) * 6
+
+    @pytest.mark.parametrize(
+        "metrics, features",
+        [([0.5] * 5, None), (None, [3] * 7), ([0.5] * 5 + [math.inf], None),
+         ([math.nan] + [0.5] * 5, None), (None, [3] * 5 + [-1])],
+    )
+    def test_bad_columns_rejected(self, metrics, features):
+        with pytest.raises(TraceFormatError):
+            TrialTrace("t", SHAPE, **self.columns(metrics, features))
+
+    def test_non_finite_metric_names_its_step(self):
+        metrics = [0.5] * 6
+        metrics[3] = math.inf
+        with pytest.raises(TraceFormatError, match=r"step \(1, 1\) must be finite, got inf"):
+            TrialTrace("t", SHAPE, **self.columns(metrics))
+
+    def test_steps_and_columns_are_exclusive(self):
+        steps = generate_cohort(gen_config(trials=1))[0].steps
+        with pytest.raises(TypeError):
+            TrialTrace("trial_000", SHAPE, steps, **self.columns())
+        with pytest.raises(TypeError):
+            TrialTrace("t", SHAPE, metrics=[0.5] * 6)
+
+    def test_trace_from_steps_equals_generated_trace(self):
+        for trace in generate_cohort(gen_config(trials=6)):
+            rebuilt = TrialTrace(trial_id=trace.trial_id, shape=trace.shape, steps=trace.steps)
+            assert rebuilt == trace and hash(rebuilt) == hash(trace)
+            assert (rebuilt.metrics, rebuilt.features) == (trace.metrics, trace.features)
+            assert rebuilt.steps is trace.steps  # kept as given
+
+    def test_steps_round_trip(self):
+        trace = generate_cohort(gen_config(trials=1))[0]
+        steps = trace.steps
+        assert trace.steps is steps  # built once, then kept
+        assert [(s.outer_idx, s.inner_idx) for s in steps] == list(SHAPE.positions)
+        assert [s.metric for s in steps] == list(trace.metrics)
+        assert [s.selected_feature_count for s in steps] == list(trace.features)
+        assert {s.trial_id for s in steps} == {trace.trial_id}
+        given = tuple(dataclasses.replace(s, metric=s.metric + 1.0) for s in steps)
+        rebuilt = TrialTrace(trace.trial_id, SHAPE, given)
+        assert rebuilt.steps is given
+        assert rebuilt.metrics == tuple(m + 1.0 for m in trace.metrics)
+
+
+class TestStepObjects:
+    """Generating and reading hold columns; only replay makes ``StepRecord``s."""
+
+    @pytest.fixture()
+    def made(self, monkeypatch):
+        made = []
+        check = StepRecord.__post_init__
+
+        def counted(step):
+            made.append(step)
+            check(step)
+
+        monkeypatch.setattr(StepRecord, "__post_init__", counted)
+        return made
+
+    def test_generate_and_read_build_none(self, made, tmp_path):
+        cohort = generate_cohort(gen_config(trials=5))
+        write_traces(cohort, tmp_path / "cohort.csv")
+        write_traces(cohort, tmp_path / "traces", per_trial=True)
+        assert read_traces(tmp_path / "cohort.csv") == cohort
+        assert read_traces(tmp_path / "traces") == cohort
+        assert made == []
+
+    def test_run_study_builds_one_per_trained_model(self, made):
+        cohort = generate_cohort(gen_config(trials=12, zero_feature_prob=0.3))
+        config = PrunerConfig(direction=Direction.MINIMIZE, threshold=0.5)
+        report = run_study(cohort, config)
+        assert report.models_trained_total < 12 * SHAPE.total_steps  # some trials pruned
+        assert len(made) == report.models_trained_total
+
+
+class TestPinnedBytes:
+    """sha256 of trace files, recorded before traces were held as columns."""
+
+    def test_criterion_1_gen_file(self, tmp_path):
+        out = tmp_path / "cohort.csv"
+        args = ["gen", "--trials", "40", "--outer", "30", "--inner", "10", "--seed", "42"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d53718ded9a0a2620e3f2d4207e0a59302b0942a6c47775ca7f1697c209bdbd7"
+        )
+
+    def test_maximize_symmetric_outliers_file(self, tmp_path):
+        config = TraceGenConfig(
+            trials=12, shape=CvShape(6, 4), seed=5, outlier_prob=0.3,
+            direction=Direction.MAXIMIZE, symmetric_outliers=True,
+        )
+        out = tmp_path / "cohort.csv"
+        write_traces(generate_cohort(config), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e9463e6cfdec95726577f61972038d9fac0dc86cf469ca4674081f30b4db58ba"
+        )
 
 
 class TestGenerateCohort:
