@@ -22,7 +22,6 @@ from .engine import (
     StudyReport,
     StudyState,
     TrialOutcome,
-    TrialRuntimeState,
     TrialStatus,
     full_objective,
     run_study,
@@ -45,14 +44,10 @@ from .pruners import (
     PrunerConfig,
     RungTable,
     asha_record_and_decide,
-    asha_rung_resource,
     combined_decide,
-    intermediate_value,
     reported_value_on_prune,
-    rung_survivors,
     semantic_decide,
     threshold_decide,
-    threshold_window_active,
 )
 from .trace import TraceGenConfig, TrialTrace, generate_cohort, read_traces, write_traces
 
@@ -81,12 +76,10 @@ __all__ = [
     "TraceFormatError",
     "TraceGenConfig",
     "TrialOutcome",
-    "TrialRuntimeState",
     "TrialStatus",
     "TrialTrace",
     "VariantReport",
     "asha_record_and_decide",
-    "asha_rung_resource",
     "classify_false_prunes",
     "combined_decide",
     "compare_pruners",
@@ -94,17 +87,14 @@ __all__ = [
     "extrapolate",
     "full_objective",
     "generate_cohort",
-    "intermediate_value",
     "load_report",
     "median",
     "read_traces",
     "reported_value_on_prune",
     "run_study",
     "run_trial",
-    "rung_survivors",
     "semantic_decide",
     "threshold_decide",
-    "threshold_window_active",
     "trimmed_mean",
     "write_traces",
 ]

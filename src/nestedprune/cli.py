@@ -116,8 +116,9 @@ def build_parser() -> _Parser:
                         help="concurrent trial workers (default %(default)s)")
 
     bench = sub.add_parser("bench", help="compare pruner variants over repeated studies")
-    bench.add_argument("--reps", type=int, default=_default(BenchConfig, "repetitions"),
-                       help="repetitions (default %(default)s)")
+    bench.add_argument("--reps", type=int, default=None,
+                       help="repetitions (default "
+                            f"{_default(BenchConfig, 'repetitions')}; with --traces, only 1)")
     bench.add_argument("--trials", type=int, default=None,
                        help="trials per repetition "
                             f"(default {_default(BenchConfig, 'trials_per_rep')})")
@@ -264,11 +265,16 @@ def _cmd_bench(args) -> int:
     variants = _load_variants(args.variants, direction)
     trials = _default(BenchConfig, "trials_per_rep") if args.trials is None else args.trials
     base_seed = _default(BenchConfig, "base_seed") if args.base_seed is None else args.base_seed
+    default_reps = 1 if args.traces is not None else _default(BenchConfig, "repetitions")
+    reps = default_reps if args.reps is None else args.reps
     if args.traces is not None:
         for dest in ("trials", "outer", "inner", "base_seed") + _GEN_FIELDS:
             if getattr(args, dest) is not None:
                 raise ValueError(f"{_flag(dest)} applies to generated cohorts only, "
                                  "not with --traces")
+        if reps > 1:
+            raise ValueError(f"--reps {reps} would replay the one recorded cohort {reps} times; "
+                             "use --reps 1 with --traces")
         source = args.traces
     else:
         if args.outer is None or args.inner is None:
@@ -278,7 +284,7 @@ def _cmd_bench(args) -> int:
         variants=variants,
         baseline=args.baseline,
         source=source,
-        repetitions=args.reps,
+        repetitions=reps,
         trials_per_rep=trials,
         base_seed=base_seed,
         workers=args.workers,

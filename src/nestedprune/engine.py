@@ -18,7 +18,16 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import FormatError, InvalidTrialStateError
 from .metrics import Direction, MetricHistory, trimmed_mean
-from .pruners import CONTINUE, Decision, PruneLayer, PrunerConfig, RungTable, combined_decide
+from .pruners import (
+    CONTINUE,
+    Decision,
+    PruneLayer,
+    PrunerConfig,
+    RungTable,
+    _rung_points,
+    _threshold_window,
+    combined_decide,
+)
 
 if TYPE_CHECKING:
     from .trace import TrialTrace
@@ -95,15 +104,28 @@ class TrialRuntimeState:
         self.status = TrialStatus.COMPLETED
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StudyState:
-    """Shared cross-trial state that concurrent trial workers report into."""
+    """Shared cross-trial state that concurrent trial workers report into.
+
+    The fields cannot be reassigned, so ``shape`` and ``config`` are fixed for
+    the study's life, and what follows from them alone is worked out once:
+    ``threshold_window``, the ``(opens_at, closes_at)`` bounds of the
+    threshold layer, and ``rung_points``, the completed-loop counts at which a
+    rung is due (empty while the comparison layer is off).
+    """
 
     shape: CvShape
     config: PrunerConfig
     trials: dict[str, TrialRuntimeState] = field(default_factory=dict)
     rungs: RungTable = field(default_factory=RungTable)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    threshold_window: tuple[int, int] = field(init=False, repr=False)
+    rung_points: frozenset[int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "threshold_window", _threshold_window(self.shape, self.config))
+        object.__setattr__(self, "rung_points", _rung_points(self.shape, self.config))
 
     def ensure_trial(self, trial_id: str) -> TrialRuntimeState:
         state = self.trials.get(trial_id)

@@ -20,9 +20,10 @@ The first layer that fires wins, and a pruned trial stays pruned.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidTrialStateError
 from .metrics import (
@@ -131,25 +132,49 @@ class PrunerConfig:
 
 
 class RungTable:
-    """Intermediate values recorded per rung, keyed by trial id. Append-only."""
+    """Intermediate values recorded per rung, keyed by trial id. Append-only.
+
+    Each rung is also kept as a sorted list, so its cutoff is one index.
+    """
 
     def __init__(self) -> None:
         self._rungs: dict[int, dict[str, float]] = {}
+        self._ranked: dict[int, list[float]] = {}
 
     def has(self, rung: int, trial_id: str) -> bool:
         return trial_id in self._rungs.get(rung, ())
 
-    def record(self, rung: int, trial_id: str, value: float) -> None:
+    def record(self, rung: int, trial_id: str, value: float) -> int:
+        """Record ``value`` at ``rung`` and return how many values the rung now holds."""
         bucket = self._rungs.setdefault(rung, {})
         if trial_id in bucket:
             raise InvalidTrialStateError(
                 f"trial {trial_id!r} is already recorded at rung {rung}"
             )
         bucket[trial_id] = value
+        ranked = self._ranked.setdefault(rung, [])
+        insort(ranked, value)
+        return len(ranked)
 
     def values_at(self, rung: int) -> dict[str, float]:
         """Snapshot of the rung's recorded values (insertion order)."""
         return dict(self._rungs.get(rung, {}))
+
+    def ranked(self, rung: int) -> list[float]:
+        """Snapshot of the rung's recorded values in ascending order."""
+        return list(self._ranked.get(rung, ()))
+
+    def cutoff(self, rung: int, direction: Direction, reduction_factor: int) -> float:
+        """Worst value still ranking within the best ``ceil(n / reduction_factor)``.
+
+        A value survives the rung unless it is worse than the cutoff, so ties
+        with the cutoff survive.
+        """
+        ranked = self._ranked.get(rung)
+        if not ranked:
+            raise ValueError(f"rung {rung} holds no values")
+        keep = -(-len(ranked) // reduction_factor)
+        return ranked[keep - 1] if direction is Direction.MINIMIZE else ranked[-keep]
 
 
 def semantic_decide(step: "StepRecord") -> Decision:
@@ -159,6 +184,13 @@ def semantic_decide(step: "StepRecord") -> Decision:
     if step.selected_feature_count == 0:
         return Decision(PruneLayer.SEMANTIC)
     return CONTINUE
+
+
+def _threshold_window(shape: "CvShape", config: PrunerConfig) -> tuple[int, int]:
+    """``(opens_at, closes_at)``: steps observed that open it, completed loops that close it."""
+    opens_at = max(config.min_threshold_steps, math.ceil(shape.inner_folds / 2))
+    closes_at = math.ceil(config.threshold_window_fraction * shape.outer_folds)
+    return opens_at, closes_at
 
 
 def threshold_window_active(
@@ -176,8 +208,7 @@ def threshold_window_active(
     """
     if steps_observed < 0:
         raise ValueError("steps_observed must be >= 0")
-    opens_at = max(config.min_threshold_steps, math.ceil(shape.inner_folds / 2))
-    closes_at = math.ceil(config.threshold_window_fraction * shape.outer_folds)
+    opens_at, closes_at = _threshold_window(shape, config)
     return steps_observed >= opens_at and completed_outer < closes_at
 
 
@@ -236,20 +267,19 @@ def asha_rung_resource(rung: int, config: AshaConfig) -> int:
     return resource
 
 
-def _rung_cutoff(values: Sequence[float], direction: Direction, reduction_factor: int) -> float:
-    keep = math.ceil(len(values) / reduction_factor)
-    ranked = sorted(values, reverse=direction is Direction.MAXIMIZE)
-    return ranked[keep - 1]
+def _rung_points(shape: "CvShape", config: PrunerConfig) -> frozenset[int]:
+    """Every rung resource a trial can reach on ``shape``'s grid, in completed loops.
 
-
-def rung_survivors(
-    values: Mapping[str, float], direction: Direction, reduction_factor: int
-) -> set[str]:
-    """Trial ids ranking within the best ``ceil(n / reduction_factor)``; ties survive."""
-    if not values:
-        return set()
-    cutoff = _rung_cutoff(list(values.values()), direction, reduction_factor)
-    return {tid for tid, v in values.items() if not direction.is_worse(v, cutoff)}
+    Empty while the comparison layer is off.
+    """
+    if not config.comparison_enabled:
+        return frozenset()
+    points = set()
+    rung = 0
+    while (resource := asha_rung_resource(rung, config.asha)) <= shape.outer_folds:
+        points.add(resource)
+        rung += 1
+    return frozenset(points)
 
 
 def asha_record_and_decide(
@@ -264,19 +294,18 @@ def asha_record_and_decide(
 
     Rungs are visited in ascending order; ones the trial already sits on are
     skipped, so between milestones this returns Continue without re-judging.
-    A rung holding fewer than ``bootstrap_count`` values never prunes. The
-    decision uses only the values recorded at call time; nothing waits for
-    trials still running elsewhere.
+    A rung holding fewer than ``bootstrap_count`` values never prunes; otherwise
+    the value is cut when it is worse than the rung's cutoff, so ties with the
+    cutoff survive. The decision uses only the values recorded at call time;
+    nothing waits for trials still running elsewhere.
     """
     rung = 0
     while True:
         if asha_rung_resource(rung, config) > resource:
             return CONTINUE
         if not rungs.has(rung, trial_id):
-            rungs.record(rung, trial_id, value)
-            recorded = rungs.values_at(rung)
-            if len(recorded) >= config.bootstrap_count:
-                cutoff = _rung_cutoff(list(recorded.values()), direction, config.reduction_factor)
+            if rungs.record(rung, trial_id, value) >= config.bootstrap_count:
+                cutoff = rungs.cutoff(rung, direction, config.reduction_factor)
                 if direction.is_worse(value, cutoff):
                     return Decision(PruneLayer.COMPARISON, reported_value=value)
         rung += 1
@@ -298,10 +327,15 @@ def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") 
     """Consume the trial's next step and run the enabled layers in order.
 
     Layer order per step: semantic, then threshold inside its window, then,
-    only at a completed-inner-loop boundary, the comparison layer on a fresh
-    intermediate value, all under ``study.config``. The first prune wins and
-    is recorded on the trial (``study.trials[trial_id].decision``); reporting
-    further steps for a pruned or completed trial is an error.
+    only when the step completes an inner loop at a rung resource, the
+    comparison layer on the trial's intermediate value, all under
+    ``study.config``. The intermediate value is computed only there: a trial
+    advances one loop at a time and records once per rung, so no other step
+    can record or prune. The window bounds and the rung resources come from
+    the study (``study.threshold_window``, ``study.rung_points``). The first
+    prune wins and is recorded on the trial
+    (``study.trials[trial_id].decision``); reporting further steps for a
+    pruned or completed trial is an error.
 
     Calls are atomic with respect to the shared study state, so concurrent
     workers (one per trial) may report into one study.
@@ -318,7 +352,8 @@ def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") 
                 f"step for trial {new_step.trial_id!r} reported under {trial_id!r}"
             )
         inner = study.shape.inner_folds
-        expected = divmod(state.steps_observed, inner)
+        steps = state.steps_observed
+        expected = divmod(steps, inner)
         if (new_step.outer_idx, new_step.inner_idx) != expected:
             raise InvalidTrialStateError(
                 f"trial {trial_id!r}: expected step (outer, inner)={expected}, "
@@ -326,25 +361,25 @@ def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") 
             )
 
         state.history.pending.append(new_step.metric)
-        state.steps_observed += 1
-        completed_loops = state.steps_observed // inner
-        at_loop_boundary = state.steps_observed % inner == 0
+        steps += 1
+        state.steps_observed = steps
+        completed_loops, into_loop = divmod(steps, inner)
 
         decision = CONTINUE
         if config.semantic_enabled:
             decision = semantic_decide(new_step)
-        if not decision.pruned and config.threshold_enabled:
-            if threshold_window_active(state.steps_observed, completed_loops, study.shape, config):
-                missing = -state.steps_observed % inner
-                decision = threshold_decide(state.history, missing, config)
-        if not decision.pruned and config.comparison_enabled and at_loop_boundary:
+        if decision.layer is None and config.threshold_enabled:
+            opens_at, closes_at = study.threshold_window
+            if steps >= opens_at and completed_loops < closes_at:
+                decision = threshold_decide(state.history, -steps % inner, config)
+        if decision.layer is None and into_loop == 0 and completed_loops in study.rung_points:
             value = intermediate_value(state.history, config.trim_fraction)
             decision = asha_record_and_decide(
                 study.rungs, trial_id, completed_loops, value, config.direction, config.asha
             )
 
-        if decision.pruned:
+        if decision.layer is not None:
             state.mark_pruned(decision)
-        elif state.steps_observed == study.shape.total_steps:
+        elif steps == study.shape.total_steps:
             state.mark_completed()
         return decision

@@ -78,13 +78,18 @@ def brute_threshold_prunes(
     return composite < Fraction(float(threshold))
 
 
+def brute_rung_cutoff(values: list, direction: Direction, reduction_factor: int) -> float:
+    """The ``ceil(n / factor)``-th best value, by sorting best first."""
+    keep = math.ceil(len(values) / reduction_factor)
+    best_first = sorted(values, reverse=direction is Direction.MAXIMIZE)
+    return best_first[keep - 1]
+
+
 def brute_rung_survivors(values: dict, direction: Direction, reduction_factor: int) -> set:
     """Top-``ceil(n / factor)`` trial ids by sorting, ties with the cutoff surviving."""
     if not values:
         return set()
-    keep = math.ceil(len(values) / reduction_factor)
-    best_first = sorted(values.values(), reverse=direction is Direction.MAXIMIZE)
-    cutoff = best_first[keep - 1]
+    cutoff = brute_rung_cutoff(list(values.values()), direction, reduction_factor)
     if direction is Direction.MINIMIZE:
         return {tid for tid, v in values.items() if v <= cutoff}
     return {tid for tid, v in values.items() if v >= cutoff}

@@ -25,6 +25,7 @@ from nestedprune import (
     ExtrapolationMethod,
     PruneLayer,
     PrunerConfig,
+    RungTable,
     StepRecord,
     TraceGenConfig,
     TrialStatus,
@@ -33,7 +34,6 @@ from nestedprune import (
     generate_cohort,
     median,
     run_study,
-    rung_survivors,
     threshold_decide,
     trimmed_mean,
 )
@@ -193,7 +193,11 @@ def test_criterion_4_asha_rung_oracle():
             values[f"t{index}"] = value
         direction = rng.choice([MIN, MAX])
         factor = rng.randint(2, 5)
-        survivors = rung_survivors(values, direction, factor)
+        rung = RungTable()
+        for trial_id, value in values.items():
+            rung.record(0, trial_id, value)
+        cutoff = rung.cutoff(0, direction, factor)
+        survivors = {tid for tid, v in values.items() if not direction.is_worse(v, cutoff)}
         if survivors != brute_rung_survivors(values, direction, factor):
             mismatches += 1
         if len(survivors) < math.ceil(count / factor):

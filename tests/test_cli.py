@@ -158,12 +158,32 @@ class TestBench:
         traces = tmp_path / "t.csv"
         main(gen_args(traces, trials=4, outer=6, inner=4))
         out = tmp_path / "report.json"
-        args = ["bench", "--reps", "2", "--traces", str(traces),
+        args = ["bench", "--reps", "1", "--traces", str(traces),
                 "--variants", write_variants(tmp_path), "--baseline", "asha",
                 "--out", str(out)]
         assert main(args) == 0
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["trials_per_rep"] == 4
+
+    def test_traces_default_to_one_rep(self, tmp_path):
+        traces = tmp_path / "t.csv"
+        main(gen_args(traces, trials=4, outer=6, inner=4))
+        out = tmp_path / "report.json"
+        args = ["bench", "--traces", str(traces), "--variants", write_variants(tmp_path),
+                "--baseline", "asha", "--out", str(out)]
+        assert main(args) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["repetitions"] == 1
+
+    def test_traces_reject_more_than_one_rep(self, tmp_path, capsys):
+        # one recorded cohort replayed N times gives N identical results
+        traces = tmp_path / "t.csv"
+        main(gen_args(traces, trials=4, outer=6, inner=4))
+        args = ["bench", "--reps", "2", "--traces", str(traces),
+                "--variants", write_variants(tmp_path), "--baseline", "asha",
+                "--out", str(tmp_path / "r.json")]
+        assert main(args) == 1
+        assert "--reps" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_traces_report_bytes(self, tmp_path):
         # sha256 recorded before traces were held as columns

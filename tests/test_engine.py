@@ -326,3 +326,32 @@ class TestGoldenDecisions:
             720,
             "7ccec4ffdf14d10f732025969cc9cfd8f4b7f1b089fc6ce871929de781a12f6d",
         )
+
+    def test_large_rung_cohorts(self):
+        """2,000 ASHA-only trials on a 10x5 grid: rungs of hundreds of values, with ties.
+
+        Hash recorded before rungs were kept sorted.
+        """
+        shape = CvShape(outer_folds=10, inner_folds=5)
+        asha = AshaConfig(min_early_stopping_rate=0)  # rungs at 1, 3 and 9 loops
+        cohort = generate_cohort(TraceGenConfig(trials=2000, shape=shape, seed=5))
+        # two decimals make equal intermediate values common, so ties sit on the cutoff
+        coarse = [
+            TrialTrace(t.trial_id, shape, metrics=[round(m, 2) for m in t.metrics],
+                       features=t.features)
+            for t in cohort
+        ]
+        mirrored = [
+            TrialTrace(t.trial_id, shape, metrics=[-m for m in t.metrics], features=t.features)
+            for t in coarse
+        ]
+        runs = [
+            (traces, PrunerConfig(
+                direction=direction, asha=asha, semantic_enabled=False, threshold_enabled=False
+            ))
+            for traces, direction in ((cohort, MIN), (coarse, MIN), (mirrored, Direction.MAXIMIZE))
+        ]
+        assert _decision_digest(runs) == (
+            6000,
+            "ac3211d1ed77feec189fde57b920f4fc0b6704436eaa4ba5c8292231ea1e674e",
+        )

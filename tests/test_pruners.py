@@ -1,10 +1,12 @@
 """Unit tests for the three pruning layers and their combination."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_rung_cutoff, brute_rung_survivors
 
 from nestedprune import (
     CONTINUE,
@@ -20,16 +22,14 @@ from nestedprune import (
     StepRecord,
     StudyState,
     asha_record_and_decide,
-    asha_rung_resource,
     combined_decide,
-    intermediate_value,
     median,
     reported_value_on_prune,
-    rung_survivors,
     semantic_decide,
     threshold_decide,
-    threshold_window_active,
 )
+from nestedprune import pruners
+from nestedprune.pruners import asha_rung_resource, intermediate_value, threshold_window_active
 
 MIN = Direction.MINIMIZE
 MAX = Direction.MAXIMIZE
@@ -43,6 +43,17 @@ def step(trial="t0", outer=0, inner=0, metric=0.5, features=10):
         metric=metric,
         selected_feature_count=features,
     )
+
+
+def rung_survivors(values, direction, factor):
+    """Trial ids that survive one rung holding ``values``, read through a ``RungTable``."""
+    if not values:
+        return set()
+    table = RungTable()
+    for trial_id, value in values.items():
+        table.record(0, trial_id, value)
+    cutoff = table.cutoff(0, direction, factor)
+    return {tid for tid, v in values.items() if not direction.is_worse(v, cutoff)}
 
 
 def config(**overrides):
@@ -133,6 +144,41 @@ class TestRungTable:
         snapshot = rungs.values_at(2)
         snapshot["b"] = 1.0
         assert rungs.values_at(2) == {"a": 0.4}
+
+    def test_record_returns_rung_size(self):
+        rungs = RungTable()
+        assert rungs.record(0, "a", 0.4) == 1
+        assert rungs.record(1, "a", 0.4) == 1
+        assert rungs.record(0, "b", 0.4) == 2
+
+    def test_cutoff_of_empty_rung_rejected(self):
+        with pytest.raises(ValueError):
+            RungTable().cutoff(0, MIN, 3)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                    st.floats(min_value=-1, max_value=1),
+                ),
+            ),
+            max_size=60,
+        ),
+        st.integers(min_value=2, max_value=6),
+    )
+    def test_sorted_view_and_cutoff_match_brute_force(self, records, factor):
+        rungs = RungTable()
+        for index, (rung, value) in enumerate(records):
+            rungs.record(rung, f"t{index}", value)
+            values = list(rungs.values_at(rung).values())
+            # repr tells -0.0 from 0.0: ties keep their recording order, as in sorted()
+            assert list(map(repr, rungs.ranked(rung))) == list(map(repr, sorted(values)))
+            for direction in (MIN, MAX):
+                assert rungs.cutoff(rung, direction, factor) == brute_rung_cutoff(
+                    values, direction, factor
+                )
 
 
 class TestSemanticLayer:
@@ -357,9 +403,9 @@ class TestRungSurvivors:
     )
     def test_distinct_values_keep_exactly_the_quota(self, values, factor, direction):
         table = {f"t{i}": v for i, v in enumerate(values)}
-        assert len(rung_survivors(table, direction, factor)) == math.ceil(
-            len(values) / factor
-        )
+        survivors = rung_survivors(table, direction, factor)
+        assert survivors == brute_rung_survivors(table, direction, factor)
+        assert len(survivors) == math.ceil(len(values) / factor)
 
 
 class TestAshaRecordAndDecide:
@@ -505,6 +551,48 @@ class TestCombinedDecide:
         _, first = feed_constant(study, "a", 0.4)
         _, second = feed_constant(study, "b", 0.4)
         assert first == second == study.shape.total_steps
+
+
+class TestRungPoints:
+    TABLE_ASHA = AshaConfig(min_resource=1, reduction_factor=3, min_early_stopping_rate=2)
+
+    def test_study_works_out_reachable_rungs(self):
+        assert make_study(asha=self.TABLE_ASHA).rung_points == {9, 27}
+        assert make_study(outer=8, asha=self.TABLE_ASHA).rung_points == frozenset()
+        assert make_study(asha=AshaConfig(min_early_stopping_rate=0)).rung_points == {1, 3, 9, 27}
+        off = make_study(asha=self.TABLE_ASHA, comparison_enabled=False)
+        assert off.rung_points == frozenset()
+
+    def test_study_works_out_threshold_window(self):
+        study = make_study()
+        assert study.threshold_window == (5, 10)
+        assert threshold_window_active(5, 9, study.shape, study.config)
+        assert not threshold_window_active(4, 0, study.shape, study.config)
+        assert not threshold_window_active(100, 10, study.shape, study.config)
+
+    def test_study_constants_cannot_go_stale(self):
+        study = make_study()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            study.config = config(comparison_enabled=False)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            study.rung_points = frozenset()
+
+    def test_intermediate_value_computed_only_at_rungs(self, monkeypatch):
+        original = pruners.intermediate_value
+        loops_at_call = []
+
+        def counting(history, trim_fraction):
+            loops_at_call.append(len(history) // 10)
+            return original(history, trim_fraction)
+
+        monkeypatch.setattr(pruners, "intermediate_value", counting)
+        study = make_study(
+            asha=self.TABLE_ASHA, semantic_enabled=False, threshold_enabled=False
+        )
+        decision, consumed = feed_constant(study, "t0", 0.4)
+        assert decision == CONTINUE and consumed == 300
+        assert loops_at_call == [9, 27]
+        assert study.rungs.values_at(0) == study.rungs.values_at(1) == {"t0": 0.4}
 
 
 class TestDirectionSymmetry:
