@@ -75,7 +75,6 @@ class BenchReport:
     baseline: str
     repetitions: int
     trials_per_rep: int
-    workers: int
     direction: str
     outer_folds: int
     inner_folds: int
@@ -88,7 +87,7 @@ class BenchConfig:
 
     ``source`` is either a ``TraceGenConfig`` (repetition ``r`` generates a
     fresh cohort with seed ``base_seed + r`` and ``trials_per_rep`` trials) or
-    a path to recorded traces (the same cohort is replayed each repetition).
+    a path to recorded traces, which is one cohort and so one repetition.
     """
 
     variants: Mapping[str, PrunerConfig]
@@ -97,7 +96,6 @@ class BenchConfig:
     repetitions: int = 30
     trials_per_rep: int = 40
     base_seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.variants:
@@ -114,6 +112,9 @@ class BenchConfig:
         if isinstance(self.source, TraceGenConfig):
             if self.source.direction not in directions:
                 raise ValueError("cohort generation direction must match the variants")
+        elif self.repetitions != 1:
+            raise ValueError(f"recorded traces are one cohort; repetitions must be 1, not "
+                             f"{self.repetitions}")
 
 
 def classify_false_prunes(
@@ -167,28 +168,27 @@ def compare_pruners(config: BenchConfig) -> BenchReport:
     """
     trims = {variant.trim_fraction for variant in config.variants.values()}
     if isinstance(config.source, TraceGenConfig):
-        fixed_cohort = None
         trials_per_rep = config.trials_per_rep
         shape = config.source.shape
+        cohorts = (
+            generate_cohort(
+                replace(config.source, seed=config.base_seed + rep, trials=trials_per_rep)
+            )
+            for rep in range(config.repetitions)
+        )
     else:
-        fixed_cohort = read_traces(config.source)
-        fixed_objectives = _objectives(fixed_cohort, trims)
-        trials_per_rep = len(fixed_cohort)
-        shape = fixed_cohort[0].shape
+        recorded = read_traces(config.source)
+        trials_per_rep = len(recorded)
+        shape = recorded[0].shape
+        cohorts = [recorded]
 
     per_variant: dict[str, list[RepStats]] = {name: [] for name in config.variants}
     false_prunes: dict[str, list[FalsePruneRecord]] = {name: [] for name in config.variants}
 
-    for rep in range(config.repetitions):
-        if fixed_cohort is None:
-            cohort = generate_cohort(
-                replace(config.source, seed=config.base_seed + rep, trials=trials_per_rep)
-            )
-            objectives_by_trim = _objectives(cohort, trims)
-        else:
-            cohort, objectives_by_trim = fixed_cohort, fixed_objectives
+    for rep, cohort in enumerate(cohorts):
+        objectives_by_trim = _objectives(cohort, trims)
         for name, variant in config.variants.items():
-            study = run_study(cohort, variant, workers=config.workers)
+            study = run_study(cohort, variant)
             objectives = objectives_by_trim[variant.trim_fraction]
             records = []
             if variant.threshold_enabled:
@@ -239,7 +239,6 @@ def compare_pruners(config: BenchConfig) -> BenchReport:
         baseline=config.baseline,
         repetitions=config.repetitions,
         trials_per_rep=trials_per_rep,
-        workers=config.workers,
         direction=direction.value,
         outer_folds=shape.outer_folds,
         inner_folds=shape.inner_folds,

@@ -112,8 +112,6 @@ def build_parser() -> _Parser:
                         help="outer-fold fraction where the threshold layer is active "
                              "(default 1/3)")
     _add_asha_flags(replay)
-    replay.add_argument("--workers", type=int, default=1,
-                        help="concurrent trial workers (default %(default)s)")
 
     bench = sub.add_parser("bench", help="compare pruner variants over repeated studies")
     bench.add_argument("--reps", type=int, default=None,
@@ -139,8 +137,6 @@ def build_parser() -> _Parser:
     bench.add_argument("--out", required=True, help="output report JSON path")
     bench.add_argument("--require-best-preserved", action="store_true",
                        help="exit 2 if any repetition pruned the ground-truth best trial")
-    bench.add_argument("--workers", type=int, default=_default(BenchConfig, "workers"),
-                       help="concurrent trial workers (default %(default)s)")
 
     report = sub.add_parser("report", help="convert a bench report between formats")
     report.add_argument("--in", dest="input", required=True, help="report JSON path")
@@ -199,8 +195,7 @@ def _print_study(report: StudyReport) -> None:
     print(
         f"totals: trials={len(report.outcomes)} models={report.models_trained_total} "
         f"semantic={report.semantic_prunes} threshold={report.threshold_prunes} "
-        f"comparison={report.comparison_prunes} completed={report.completed} "
-        f"workers={report.workers}"
+        f"comparison={report.comparison_prunes} completed={report.completed}"
     )
     if report.best_trial_id is not None:
         print(f"best: {report.best_trial_id} reported={format(report.best_value, '.6g')}")
@@ -209,7 +204,7 @@ def _print_study(report: StudyReport) -> None:
 def _cmd_replay(args) -> int:
     config = _pruner_config_from_args(args)
     cohort = read_traces(args.traces)
-    report = run_study(cohort, config, workers=args.workers)
+    report = run_study(cohort, config)
     _print_study(report)
     return 0
 
@@ -287,7 +282,6 @@ def _cmd_bench(args) -> int:
         repetitions=reps,
         trials_per_rep=trials,
         base_seed=base_seed,
-        workers=args.workers,
     )
     report = compare_pruners(config)
     emit_report(report, "json", args.out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -106,13 +105,14 @@ class TrialRuntimeState:
 
 @dataclass(frozen=True, eq=False)
 class StudyState:
-    """Shared cross-trial state that concurrent trial workers report into.
+    """Cross-trial state that every trial of one study reports into.
 
     The fields cannot be reassigned, so ``shape`` and ``config`` are fixed for
     the study's life, and what follows from them alone is worked out once:
     ``threshold_window``, the ``(opens_at, closes_at)`` bounds of the
     threshold layer, and ``rung_points``, the completed-loop counts at which a
-    rung is due (empty while the comparison layer is off).
+    rung is due (empty while the comparison layer is off). ``lock`` serves
+    live callers that report from several threads; replay is sequential.
     """
 
     shape: CvShape
@@ -126,13 +126,6 @@ class StudyState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "threshold_window", _threshold_window(self.shape, self.config))
         object.__setattr__(self, "rung_points", _rung_points(self.shape, self.config))
-
-    def ensure_trial(self, trial_id: str) -> TrialRuntimeState:
-        state = self.trials.get(trial_id)
-        if state is None:
-            state = TrialRuntimeState()
-            self.trials[trial_id] = state
-        return state
 
 
 @dataclass(frozen=True)
@@ -148,7 +141,6 @@ class TrialOutcome:
 class StudyReport:
     """Per-trial outcomes plus study-level totals for one pruner configuration."""
 
-    workers: int
     outcomes: tuple[TrialOutcome, ...]
     models_trained_total: int
     semantic_prunes: int
@@ -196,20 +188,14 @@ def run_trial(study: StudyState, trace: "TrialTrace") -> TrialOutcome:
     )
 
 
-def run_study(
-    cohort: Sequence["TrialTrace"], config: PrunerConfig, workers: int = 1
-) -> StudyReport:
-    """Run a cohort of trials against one shared study state.
+def run_study(cohort: Sequence["TrialTrace"], config: PrunerConfig) -> StudyReport:
+    """Run a cohort's trials one after another, in cohort order, against one study state.
 
-    With ``workers=1`` trials run sequentially in cohort order and the result
-    is fully deterministic. With more workers trials run concurrently; rung
-    contents then depend on arrival order across trials, which is inherent to
-    asynchronous halving, so the report records the worker count.
+    No parallel schedule would decide otherwise: handing trials out in cohort
+    order, each advancing one model per turn, fills every rung in cohort order.
     """
     if not cohort:
         raise FormatError("cohort must contain at least one trial")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     seen: set[str] = set()
     for trace in cohort:
         if trace.trial_id in seen:
@@ -222,11 +208,7 @@ def run_study(
             )
 
     study = StudyState(shape=cohort[0].shape, config=config)
-    if workers == 1:
-        outcomes = [run_trial(study, trace) for trace in cohort]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda trace: run_trial(study, trace), cohort))
+    outcomes = [run_trial(study, trace) for trace in cohort]
 
     by_layer = {layer: 0 for layer in PruneLayer}
     completed = 0
@@ -245,7 +227,6 @@ def run_study(
             best = max(scored, key=lambda o: o.reported_value)
 
     return StudyReport(
-        workers=workers,
         outcomes=tuple(outcomes),
         models_trained_total=sum(o.models_trained for o in outcomes),
         semantic_prunes=by_layer[PruneLayer.SEMANTIC],

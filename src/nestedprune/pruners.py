@@ -337,12 +337,17 @@ def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") 
     (``study.trials[trial_id].decision``); reporting further steps for a
     pruned or completed trial is an error.
 
-    Calls are atomic with respect to the shared study state, so concurrent
-    workers (one per trial) may report into one study.
+    Calls hold ``study.lock``, so live callers may report from several
+    threads (one per trial) into one study; replay calls from one thread.
     """
     config = study.config
     with study.lock:
-        state = study.ensure_trial(trial_id)
+        state = study.trials.get(trial_id)
+        if state is None:
+            # engine imports this module, so its trial state is imported here
+            from .engine import TrialRuntimeState
+
+            state = study.trials[trial_id] = TrialRuntimeState()
         if not state.is_running:
             raise InvalidTrialStateError(
                 f"trial {trial_id!r} is {state.status.value}; it cannot accept steps"

@@ -2,15 +2,26 @@
 
 These deliberately avoid the library's code paths: medians come from explicit
 sorting, means from exact rational arithmetic (every float is a dyadic
-rational), decisions from a direct transcription of the definitions.
+rational), decisions from a direct transcription of the definitions, and
+a multi-worker schedule from explicit turn-taking over the live decision API.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 
-from nestedprune import Direction, ExtrapolationMethod
+from nestedprune import (
+    Direction,
+    ExtrapolationMethod,
+    StepRecord,
+    StudyState,
+    TrialStatus,
+    combined_decide,
+    trimmed_mean,
+)
 
 
 def exact_mean(values) -> Fraction:
@@ -93,3 +104,43 @@ def brute_rung_survivors(values: dict, direction: Direction, reduction_factor: i
     if direction is Direction.MINIMIZE:
         return {tid for tid, v in values.items() if v <= cutoff}
     return {tid for tid, v in values.items() if v >= cutoff}
+
+
+def rotation_replay(cohort, config, workers: int) -> list[tuple]:
+    """Replay ``cohort`` on ``workers`` simulated workers that take turns.
+
+    Each turn, the worker at the front of the rotation trains its trial's next
+    model (one ``combined_decide`` call) and goes to the back. A worker whose
+    trial was pruned or completed takes the next trial in cohort order and
+    rejoins at the back; it leaves once the cohort is used up. Returns one
+    ``(trial_id, status, layer, models, reported)`` per trial, in cohort order.
+    """
+    shape = cohort[0].shape
+    study = StudyState(shape=shape, config=config)
+    waiting = iter(cohort)
+    rotation = deque((trace, 0) for trace in islice(waiting, workers))
+    decisions = {}
+    while rotation:
+        trace, index = rotation.popleft()
+        outer, inner = divmod(index, shape.inner_folds)
+        step = StepRecord(trace.trial_id, outer, inner, trace.metrics[index],
+                          trace.features[index])
+        decision = combined_decide(study, trace.trial_id, step)
+        if decision.pruned or index + 1 == shape.total_steps:
+            decisions[trace.trial_id] = decision
+            following = next(waiting, None)
+            if following is not None:
+                rotation.append((following, 0))
+        else:
+            rotation.append((trace, index + 1))
+
+    outcomes = []
+    for trace in cohort:
+        state, decision = study.trials[trace.trial_id], decisions[trace.trial_id]
+        reported = decision.reported_value
+        if state.status is TrialStatus.COMPLETED:
+            reported = trimmed_mean(trace.metrics, config.trim_fraction)
+        outcomes.append(
+            (trace.trial_id, state.status, decision.layer, state.steps_observed, reported)
+        )
+    return outcomes

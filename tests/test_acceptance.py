@@ -311,7 +311,7 @@ def test_criterion_7_semantic_immediacy():
 
 
 def test_criterion_8_cli_determinism(tmp_path, capsys):
-    """gen, replay --workers 1, and bench produce byte-identical outputs across runs."""
+    """gen, replay, and bench produce byte-identical outputs across runs."""
     variants = tmp_path / "variants.json"
     variants.write_text(
         '{"asha": {"semantic_enabled": false, "threshold_enabled": false},\n'
@@ -329,7 +329,7 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main([
             "replay", "--traces", str(traces), "--pruner", "three-layer",
-            "--threshold", "0.45", "--workers", "1",
+            "--threshold", "0.45",
         ]) == 0
         replay_stdout = capsys.readouterr().out
         assert cli_main([

@@ -163,11 +163,18 @@ class TestComparePruners:
         cohort = [constant_trace(f"t{i}", 0.3 + 0.1 * i) for i in range(4)]
         path = tmp_path / "cohort.csv"
         write_traces(cohort, path)
-        report = compare_pruners(bench_config(source=str(path), repetitions=2))
-        assert report.trials_per_rep == 4
+        report = compare_pruners(bench_config(source=str(path), repetitions=1))
+        assert (report.repetitions, report.trials_per_rep) == (1, 4)
         none = next(v for v in report.variants if v.name == "none")
-        # same cohort replayed each repetition
-        assert none.per_rep[0].models_trained == none.per_rep[1].models_trained
+        assert [r.models_trained for r in none.per_rep] == [4 * SHAPE.total_steps]
+
+    def test_traces_path_source_takes_one_repetition(self, tmp_path):
+        # a second repetition would replay the one recorded cohort again
+        path = tmp_path / "cohort.csv"
+        write_traces([constant_trace("t0", 0.3)], path)
+        message = "recorded traces are one cohort; repetitions must be 1, not 2"
+        with pytest.raises(ValueError, match=message):
+            bench_config(source=str(path), repetitions=2)
 
     def test_ground_truth_scored_once_per_cohort(self, monkeypatch):
         calls = []
@@ -214,6 +221,13 @@ class TestReportSerialization:
     def test_json_round_trip(self, report, tmp_path):
         path = tmp_path / "report.json"
         emit_report(report, "json", path)
+        assert load_report(path) == report
+
+    def test_report_with_workers_key_loads(self, report, tmp_path):
+        # reports written while bench had a worker count carry "workers": 1
+        data = json.loads(report_to_json(report))
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**data, "workers": 1}, indent=2), encoding="utf-8")
         assert load_report(path) == report
 
     def test_emissions_are_byte_identical(self, report, tmp_path):
@@ -272,7 +286,8 @@ class TestReportSerialization:
                 r"variants\[0\]\.per_rep\[1\]\.rep")
 
     def test_golden_bytes(self):
-        # pins field order and number formatting of both formats
+        # pins field order and number formatting of both formats; the JSON digest
+        # was re-pinned when the report lost its "workers" line, the CSV is older
         config = bench_config(
             variants={"none": NO_LAYERS, "threshold": THRESHOLD_ONLY, "three-layer": variant()},
             repetitions=3,
@@ -283,6 +298,6 @@ class TestReportSerialization:
             for text in (report_to_json(report), report_to_csv(report))
         ]
         assert digests == [
-            "ab1277ac03f4a0b6914c861213dd7ebdb2a0eb13ef68a0570be6385a7b4514d2",
+            "c3666aeb8e8a6d7ab3e5e21337843121c51d181aedd71220388266cbb05d64c1",
             "011565c0136312069f9dabcd0cb2fc35181d1d3822ce146783afa40811af07ae",
         ]

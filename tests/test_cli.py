@@ -111,6 +111,14 @@ class TestReplay:
         assert main(args) == 1
         assert "missing.csv" in capsys.readouterr().err
 
+    def test_workers_flag_is_a_usage_error(self, traces, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["replay", "--traces", traces, "--pruner", "none", "--workers", "2"])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nestedprune ")
+        assert "unrecognized arguments: --workers 2" in err
+
     def test_maximize_direction(self, traces, capsys):
         args = ["replay", "--traces", traces, "--pruner", "threshold",
                 "--direction", "max", "--threshold", "0.1",
@@ -165,6 +173,18 @@ class TestBench:
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["trials_per_rep"] == 4
 
+    def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--reps", "1", "--trials", "2", "--outer", "4", "--inner", "2",
+                  "--variants", write_variants(tmp_path), "--baseline", "asha",
+                  "--out", str(out), "--workers", "2"])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nestedprune ")
+        assert "unrecognized arguments: --workers 2" in err
+        assert not out.exists()
+
     def test_traces_default_to_one_rep(self, tmp_path):
         traces = tmp_path / "t.csv"
         main(gen_args(traces, trials=4, outer=6, inner=4))
@@ -186,7 +206,8 @@ class TestBench:
         assert not (tmp_path / "r.json").exists()
 
     def test_traces_report_bytes(self, tmp_path):
-        # sha256 recorded before traces were held as columns
+        # sha256 recorded before traces were held as columns; the JSON digest was
+        # re-pinned when the report lost its "workers" line, nothing else changed
         traces = tmp_path / "t.csv"
         assert main(gen_args(traces, trials=40, outer=30, inner=10, seed=42)) == 0
         report_json, report_csv = tmp_path / "report.json", tmp_path / "report.csv"
@@ -196,7 +217,7 @@ class TestBench:
         assert main(["report", "--in", str(report_json), "--format", "csv",
                      "--out", str(report_csv)]) == 0
         assert hashlib.sha256(report_json.read_bytes()).hexdigest() == (
-            "0fce4ab317baf73ca8844c48803e2db59a2d52f9303a5ba421174334f770dd09"
+            "e201bb8b0c3478f9cca2b33000edd471b3916f91c7c9b43b2e1968333bc0ed0a"
         )
         assert hashlib.sha256(report_csv.read_bytes()).hexdigest() == (
             "6baa6f23833cfdec3e222165da119d4948f6d3b75dadf44b5a94adaeef08c1b1"

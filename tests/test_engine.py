@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 
+import oracles
 import pytest
 
 from nestedprune import (
@@ -157,10 +158,6 @@ class TestRunStudy:
         with pytest.raises(FormatError):
             run_study(cohort, NO_LAYERS)
 
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            run_study([constant_trace("t0", SMALL, 0.5)], NO_LAYERS, workers=0)
-
     def test_deterministic_across_runs(self):
         cohort = [
             constant_trace("t0", SMALL, 0.5),
@@ -208,15 +205,48 @@ class TestRunStudy:
         assert report.best_trial_id is None
         assert report.best_value is None
 
-    def test_worker_pool_runs_all_trials(self):
-        rng = random.Random(11)
-        cohort = [constant_trace(f"t{i}", SMALL, rng.uniform(0.1, 1.0)) for i in range(8)]
-        report = run_study(cohort, three_layer(threshold=0.7), workers=4)
-        assert report.workers == 4
-        assert len(report.outcomes) == 8
-        assert [o.trial_id for o in report.outcomes] == [t.trial_id for t in cohort]
-        for outcome in report.outcomes:
-            assert 1 <= outcome.models_trained <= SMALL.total_steps
+
+class TestWorkerCountChangesNothing:
+    """N workers taking turns, trials handed out in cohort order, decide as replay does.
+
+    This is why replay has no worker count.
+    """
+
+    @pytest.mark.parametrize("direction", [MIN, Direction.MAXIMIZE], ids=["min", "max"])
+    @pytest.mark.parametrize("workers", range(1, 7))
+    def test_rotation_matches_run_study(self, workers, direction, monkeypatch):
+        shape = CvShape(outer_folds=9, inner_folds=3)  # rungs at 1, 3 and 9 loops
+        calls = []
+        decide = oracles.combined_decide
+
+        def recorded(study, trial_id, step):
+            calls.append(trial_id)
+            return decide(study, trial_id, step)
+
+        monkeypatch.setattr(oracles, "combined_decide", recorded)
+        layers = set()
+        for seed in range(3):
+            cohort = generate_cohort(TraceGenConfig(
+                trials=16, shape=shape, seed=seed, direction=direction, zero_feature_prob=0.2
+            ))
+            for bootstrap_count in range(4):
+                config = PrunerConfig(
+                    direction=direction,
+                    threshold=0.6 if direction is MIN else 0.5,
+                    asha=AshaConfig(min_early_stopping_rate=0, bootstrap_count=bootstrap_count),
+                )
+                expected = [
+                    (o.trial_id, o.status, o.pruned_layer, o.models_trained, o.reported_value)
+                    for o in run_study(cohort, config).outcomes
+                ]
+                calls.clear()
+                assert oracles.rotation_replay(cohort, config, workers) == expected
+                layers.update(outcome[2] for outcome in expected)
+                # with two or more workers, trials really take turns
+                switches = sum(a != b for a, b in zip(calls, calls[1:]))
+                ended = len(cohort) - 1
+                assert switches > ended if workers > 1 else switches == ended
+        assert layers == {None, *PruneLayer}
 
 
 class TestModelCountInvariants:
