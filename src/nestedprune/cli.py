@@ -36,6 +36,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _SubcommandParser(_Parser):
+    """A subcommand's parser: it rejects arguments it does not know, with its own usage.
+
+    Left to argparse, they would be gathered and reported by the top-level
+    parser, whose usage line does not show the subcommand's flags.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _default(cls, name: str):
     return next(f.default for f in dataclasses.fields(cls) if f.name == name)
 
@@ -80,7 +94,8 @@ def _add_asha_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="nestedprune",
                      description="Trial pruning and benchmarking over nested-CV metric traces.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True,
+                               parser_class=_SubcommandParser)
 
     gen = sub.add_parser("gen", help="generate a synthetic cohort trace file")
     gen.add_argument("--trials", type=int, required=True, help="number of trials")

@@ -72,6 +72,31 @@ class StepRecord:
             raise ValueError("selected_feature_count must be >= 0")
 
 
+_new_step = object.__new__
+_set_trial_id, _set_outer, _set_inner, _set_metric, _set_count = (
+    StepRecord.__dict__[name].__set__ for name in StepRecord.__slots__
+)
+
+
+def _step_from_checked(
+    trial_id: str, outer: int, inner: int, metric: float, count: int
+) -> StepRecord:
+    """A ``StepRecord`` from values already checked, without running ``__post_init__``.
+
+    Only for values out of a ``TrialTrace``'s columns, which its own check has
+    held to finite metrics and counts >= 0, at a position of
+    ``CvShape.positions``. The slots are filled through their descriptors, so
+    the record stays frozen and equals, and hashes as, ``StepRecord(...)``.
+    """
+    step = _new_step(StepRecord)
+    _set_trial_id(step, trial_id)
+    _set_outer(step, outer)
+    _set_inner(step, inner)
+    _set_metric(step, metric)
+    _set_count(step, count)
+    return step
+
+
 class TrialStatus(Enum):
     RUNNING = "running"
     COMPLETED = "completed"
@@ -167,9 +192,10 @@ def run_trial(study: StudyState, trace: "TrialTrace") -> TrialOutcome:
 
     trial_id = trace.trial_id
     decision = CONTINUE
+    new_step = _step_from_checked
     columns = zip(trace.shape.positions, trace.metrics, trace.features)
     for (outer, inner), metric, count in columns:
-        step = StepRecord(trial_id, outer, inner, metric, count)
+        step = new_step(trial_id, outer, inner, metric, count)
         decision = combined_decide(study, trial_id, step)
         if decision.pruned:
             break

@@ -23,7 +23,7 @@ from itertools import filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .engine import CvShape, StepRecord
+from .engine import CvShape, StepRecord, _step_from_checked
 from .errors import TraceFormatError
 from .metrics import Direction
 
@@ -141,11 +141,12 @@ class TrialTrace:
     def steps(self) -> tuple[StepRecord, ...]:
         """The steps as ``StepRecord``s: built from the columns on first read, then kept.
 
-        A trace made from steps keeps the tuple it was given.
+        The columns are already checked, so the records are built without
+        checking them again. A trace made from steps keeps the tuple it was given.
         """
         trial_id = self.trial_id
         return tuple(
-            StepRecord(trial_id, outer, inner, metric, count)
+            _step_from_checked(trial_id, outer, inner, metric, count)
             for (outer, inner), metric, count in zip(
                 self.shape.positions, self.metrics, self.features
             )
@@ -170,32 +171,57 @@ def _check_steps(trial_id: str, shape: CvShape, steps: tuple[StepRecord, ...]) -
 
 
 def generate_cohort(config: TraceGenConfig) -> list[TrialTrace]:
-    """Generate a deterministic cohort; identical configs yield identical cohorts."""
+    """Generate a deterministic cohort; identical configs yield identical cohorts.
+
+    The draws are spelled out rather than left to ``random.gauss`` and
+    ``random.randint``, in the order and arithmetic those use, so the cohort
+    is the same bytes and does not depend on how a Python version implements
+    them. Per trial: the base (``uniform``), then the zero-feature draw. Per
+    step: the noise, the outlier draw, the outlier's sign (symmetric outliers
+    only) and the feature count (trials with features only).
+    """
     rng = random.Random(config.seed)
-    gauss, draw, randint = rng.gauss, rng.random, rng.randint
+    draw, bits = rng.random, rng.getrandbits
+    log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
+    two_pi = 2.0 * math.pi
     minimize = config.direction is Direction.MINIMIZE
     worst_base = config.base_max if minimize else config.base_min
     noise_sd, outlier_prob = config.noise_sd, config.outlier_prob
     spike = config.outlier_magnitude if minimize else -config.outlier_magnitude
     symmetric = config.symmetric_outliers
     total = config.shape.total_steps
+    # Normals come in Box-Muller pairs from two uniforms; the second of a pair
+    # is kept for the next step, across trials too, as ``random.gauss`` keeps it.
+    spare = None
     cohort: list[TrialTrace] = []
     for index in range(config.trials):
         base = rng.uniform(config.base_min, config.base_max)
         zero_features = draw() < config.zero_feature_prob
         if zero_features:
             base = worst_base
-        # the draws per step, in order: noise, outlier, outlier sign, feature count
         metrics: list[float] = []
-        features: list[int] = []
+        features: list[int] = [0] * total if zero_features else []
         for _ in range(total):
-            metric = base + gauss(0.0, noise_sd)
+            if spare is None:
+                angle = draw() * two_pi
+                radius = sqrt(-2.0 * log(1.0 - draw()))
+                z = cos(angle) * radius
+                spare = sin(angle) * radius
+            else:
+                z, spare = spare, None
+            # a normal of mean 0.0: the 0.0 + turns a -0.0 product into 0.0
+            metric = base + (0.0 + z * noise_sd)
             if draw() < outlier_prob:
                 metric += -spike if symmetric and draw() < 0.5 else spike
             if minimize and metric < 0.0:
                 metric = 0.0
             metrics.append(metric)
-            features.append(0 if zero_features else randint(1, 100))
+            if not zero_features:
+                # uniform on 1..100: seven random bits, drawn again while >= 100
+                count = bits(7)
+                while count >= 100:
+                    count = bits(7)
+                features.append(1 + count)
         cohort.append(
             TrialTrace(f"trial_{index:03d}", config.shape, metrics=metrics, features=features)
         )

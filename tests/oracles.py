@@ -2,19 +2,22 @@
 
 These deliberately avoid the library's code paths: medians come from explicit
 sorting, means from exact rational arithmetic (every float is a dyadic
-rational), decisions from a direct transcription of the definitions, and
-a multi-worker schedule from explicit turn-taking over the live decision API.
+rational), decisions from a direct transcription of the definitions,
+a multi-worker schedule from explicit turn-taking over the live decision API,
+and synthetic cohorts from the standard library's own ``gauss`` and ``randint``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import islice
 
 from nestedprune import (
     Direction,
+    TrialTrace,
     ExtrapolationMethod,
     StepRecord,
     StudyState,
@@ -144,3 +147,34 @@ def rotation_replay(cohort, config, workers: int) -> list[tuple]:
             (trace.trial_id, state.status, decision.layer, state.steps_observed, reported)
         )
     return outcomes
+
+
+def stdlib_generate_cohort(config) -> list:
+    """``generate_cohort`` as a loop over ``rng.gauss`` and ``rng.randint``.
+
+    Same draws, same order; the library spells the normals and the feature
+    counts out instead, and must give the same columns.
+    """
+    rng = random.Random(config.seed)
+    minimize = config.direction is Direction.MINIMIZE
+    worst_base = config.base_max if minimize else config.base_min
+    spike = config.outlier_magnitude if minimize else -config.outlier_magnitude
+    cohort = []
+    for index in range(config.trials):
+        base = rng.uniform(config.base_min, config.base_max)
+        zero_features = rng.random() < config.zero_feature_prob
+        if zero_features:
+            base = worst_base
+        metrics, features = [], []
+        for _ in range(config.shape.total_steps):
+            metric = base + rng.gauss(0.0, config.noise_sd)
+            if rng.random() < config.outlier_prob:
+                metric += -spike if config.symmetric_outliers and rng.random() < 0.5 else spike
+            if minimize and metric < 0.0:
+                metric = 0.0
+            metrics.append(metric)
+            features.append(0 if zero_features else rng.randint(1, 100))
+        cohort.append(
+            TrialTrace(f"trial_{index:03d}", config.shape, metrics=metrics, features=features)
+        )
+    return cohort

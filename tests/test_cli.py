@@ -116,7 +116,7 @@ class TestReplay:
             main(["replay", "--traces", traces, "--pruner", "none", "--workers", "2"])
         assert info.value.code == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage: nestedprune ")
+        assert err.startswith("usage: nestedprune replay ")
         assert "unrecognized arguments: --workers 2" in err
 
     def test_maximize_direction(self, traces, capsys):
@@ -181,7 +181,7 @@ class TestBench:
                   "--out", str(out), "--workers", "2"])
         assert info.value.code == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage: nestedprune ")
+        assert err.startswith("usage: nestedprune bench ")
         assert "unrecognized arguments: --workers 2" in err
         assert not out.exists()
 

@@ -4,8 +4,11 @@ import dataclasses
 import hashlib
 import math
 
+import oracles
 import pytest
 
+import nestedprune.engine as engine_module
+import nestedprune.trace as trace_module
 from nestedprune import (
     CvShape,
     Direction,
@@ -124,18 +127,29 @@ class TestTrialTraceColumns:
 
 
 class TestStepObjects:
-    """Generating and reading hold columns; only replay makes ``StepRecord``s."""
+    """Generating and reading hold columns; only replay makes ``StepRecord``s.
+
+    Replay builds them from the trace's checked columns with the private
+    ``_step_from_checked``, which runs no ``__post_init__``.
+    """
 
     @pytest.fixture()
     def made(self, monkeypatch):
-        made = []
-        check = StepRecord.__post_init__
+        made = {"checked": [], "from_columns": []}
+        check, build = StepRecord.__post_init__, engine_module._step_from_checked
 
-        def counted(step):
-            made.append(step)
+        def counted_check(step):
+            made["checked"].append(step)
             check(step)
 
-        monkeypatch.setattr(StepRecord, "__post_init__", counted)
+        def counted_build(*values):
+            step = build(*values)
+            made["from_columns"].append(step)
+            return step
+
+        monkeypatch.setattr(StepRecord, "__post_init__", counted_check)
+        monkeypatch.setattr(engine_module, "_step_from_checked", counted_build)
+        monkeypatch.setattr(trace_module, "_step_from_checked", counted_build)
         return made
 
     def test_generate_and_read_build_none(self, made, tmp_path):
@@ -144,14 +158,35 @@ class TestStepObjects:
         write_traces(cohort, tmp_path / "traces", per_trial=True)
         assert read_traces(tmp_path / "cohort.csv") == cohort
         assert read_traces(tmp_path / "traces") == cohort
-        assert made == []
+        assert made == {"checked": [], "from_columns": []}
 
     def test_run_study_builds_one_per_trained_model(self, made):
         cohort = generate_cohort(gen_config(trials=12, zero_feature_prob=0.3))
         config = PrunerConfig(direction=Direction.MINIMIZE, threshold=0.5)
         report = run_study(cohort, config)
         assert report.models_trained_total < 12 * SHAPE.total_steps  # some trials pruned
-        assert len(made) == report.models_trained_total
+        assert len(made["from_columns"]) == report.models_trained_total
+        assert made["checked"] == []
+
+    def test_steps_from_columns_run_no_check(self, made):
+        trace = generate_cohort(gen_config(trials=1))[0]
+        assert len(trace.steps) == SHAPE.total_steps
+        assert len(made["from_columns"]) == SHAPE.total_steps
+        assert made["checked"] == []
+
+    @pytest.mark.parametrize(
+        "values", [("trial_007", 2, 1, 0.25, 17), ("t", 0, 0, -0.0, 0), ("t", 9, 3, 1e300, 5)]
+    )
+    def test_checked_constructor_equals_public_one(self, values):
+        built, public = engine_module._step_from_checked(*values), StepRecord(*values)
+        assert type(built) is StepRecord
+        assert built == public
+        assert hash(built) == hash(public)
+        assert dataclasses.astuple(built) == values
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.metric = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.trial_id = "other"
 
 
 class TestPinnedBytes:
@@ -175,6 +210,40 @@ class TestPinnedBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "e9463e6cfdec95726577f61972038d9fac0dc86cf469ca4674081f30b4db58ba"
         )
+
+
+class TestGenerationOracle:
+    """``generate_cohort`` gives, bit for bit, the columns of the loop over
+    ``random.gauss`` and ``random.randint`` it replaced."""
+
+    ODD = CvShape(outer_folds=3, inner_folds=3)  # 9 steps: a normal pair spans two trials
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(direction=Direction.MAXIMIZE),
+            dict(symmetric_outliers=True, outlier_prob=0.3),
+            dict(direction=Direction.MAXIMIZE, symmetric_outliers=True, outlier_prob=0.3),
+            dict(zero_feature_prob=0.0),
+            dict(zero_feature_prob=1.0),
+            dict(outlier_prob=1.0),
+            dict(outlier_prob=1.0, symmetric_outliers=True),
+            dict(noise_sd=0.0, base_min=-0.0, base_max=-0.0),
+            dict(noise_sd=0.0, base_min=-0.0, base_max=-0.0, direction=Direction.MAXIMIZE),
+            dict(base_min=0.0, base_max=0.05, noise_sd=0.5),  # clamps at zero
+            dict(shape=CvShape(outer_folds=30, inner_folds=10), trials=3),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_columns_match_stdlib_loop(self, overrides, seed):
+        config = TraceGenConfig(**{"trials": 7, "shape": self.ODD, "seed": seed, **overrides})
+        ours, stdlib = generate_cohort(config), oracles.stdlib_generate_cohort(config)
+        assert [t.trial_id for t in ours] == [t.trial_id for t in stdlib]
+        for mine, theirs in zip(ours, stdlib):
+            # float.hex tells -0.0 from 0.0, which == does not
+            assert [m.hex() for m in mine.metrics] == [m.hex() for m in theirs.metrics]
+            assert mine.features == theirs.features
 
 
 class TestGenerateCohort:
