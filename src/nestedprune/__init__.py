@@ -20,9 +20,7 @@ from .engine import (
     CvShape,
     StepRecord,
     StudyReport,
-    StudyState,
     TrialOutcome,
-    TrialStatus,
     full_objective,
     run_study,
     run_trial,
@@ -43,6 +41,8 @@ from .pruners import (
     PruneLayer,
     PrunerConfig,
     RungTable,
+    StudyState,
+    TrialStatus,
     asha_record_and_decide,
     combined_decide,
     reported_value_on_prune,

@@ -19,10 +19,10 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
-from .engine import TrialOutcome, TrialStatus, full_objective, run_study
+from .engine import TrialOutcome, full_objective, run_study
 from .errors import FormatError
 from .metrics import Direction
-from .pruners import PruneLayer, PrunerConfig
+from .pruners import PruneLayer, PrunerConfig, TrialStatus
 from .trace import TraceGenConfig, TrialTrace, generate_cohort, read_traces
 
 REPORT_SCHEMA = "nestedprune-bench-report/v1"
@@ -190,9 +190,7 @@ def compare_pruners(config: BenchConfig) -> BenchReport:
         for name, variant in config.variants.items():
             study = run_study(cohort, variant)
             objectives = objectives_by_trim[variant.trim_fraction]
-            records = []
-            if variant.threshold_enabled:
-                records = classify_false_prunes(study.outcomes, objectives, variant, rep=rep)
+            records = classify_false_prunes(study.outcomes, objectives, variant, rep=rep)
             false_prunes[name].extend(records)
             pick = min if variant.direction is Direction.MINIMIZE else max
             best_id = pick(objectives, key=objectives.__getitem__)

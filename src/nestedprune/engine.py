@@ -9,22 +9,18 @@ unit all reports count in.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import FormatError, InvalidTrialStateError
-from .metrics import Direction, MetricHistory, trimmed_mean
+from .metrics import Direction, trimmed_mean
 from .pruners import (
     CONTINUE,
-    Decision,
     PruneLayer,
     PrunerConfig,
-    RungTable,
-    _rung_points,
-    _threshold_window,
+    StudyState,
+    TrialStatus,
     combined_decide,
 )
 
@@ -97,62 +93,6 @@ def _step_from_checked(
     return step
 
 
-class TrialStatus(Enum):
-    RUNNING = "running"
-    COMPLETED = "completed"
-    PRUNED = "pruned"
-
-
-@dataclass
-class TrialRuntimeState:
-    """Mutable per-trial bookkeeping while its steps are consumed."""
-
-    steps_observed: int = 0
-    history: MetricHistory = field(default_factory=MetricHistory)
-    status: TrialStatus = TrialStatus.RUNNING
-    decision: Decision = CONTINUE
-
-    @property
-    def is_running(self) -> bool:
-        return self.status is TrialStatus.RUNNING
-
-    @property
-    def models_trained(self) -> int:
-        return self.steps_observed
-
-    def mark_pruned(self, decision: Decision) -> None:
-        self.status = TrialStatus.PRUNED
-        self.decision = decision
-
-    def mark_completed(self) -> None:
-        self.status = TrialStatus.COMPLETED
-
-
-@dataclass(frozen=True, eq=False)
-class StudyState:
-    """Cross-trial state that every trial of one study reports into.
-
-    The fields cannot be reassigned, so ``shape`` and ``config`` are fixed for
-    the study's life, and what follows from them alone is worked out once:
-    ``threshold_window``, the ``(opens_at, closes_at)`` bounds of the
-    threshold layer, and ``rung_points``, the completed-loop counts at which a
-    rung is due (empty while the comparison layer is off). ``lock`` serves
-    live callers that report from several threads; replay is sequential.
-    """
-
-    shape: CvShape
-    config: PrunerConfig
-    trials: dict[str, TrialRuntimeState] = field(default_factory=dict)
-    rungs: RungTable = field(default_factory=RungTable)
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    threshold_window: tuple[int, int] = field(init=False, repr=False)
-    rung_points: frozenset[int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "threshold_window", _threshold_window(self.shape, self.config))
-        object.__setattr__(self, "rung_points", _rung_points(self.shape, self.config))
-
-
 @dataclass(frozen=True)
 class TrialOutcome:
     trial_id: str
@@ -209,7 +149,7 @@ def run_trial(study: StudyState, trace: "TrialTrace") -> TrialOutcome:
         trial_id=trace.trial_id,
         status=state.status,
         pruned_layer=decision.layer,
-        models_trained=state.models_trained,
+        models_trained=state.steps_observed,
         reported_value=reported,
     )
 

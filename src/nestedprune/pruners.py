@@ -20,6 +20,7 @@ The first layer that fires wins, and a pruned trial stays pruned.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,6 +30,7 @@ from .errors import InvalidTrialStateError
 from .metrics import (
     Direction,
     ExtrapolationMethod,
+    MetricHistory,
     as_history,
     median,
     trimmed_mean,
@@ -36,7 +38,7 @@ from .metrics import (
 )
 
 if TYPE_CHECKING:
-    from .engine import CvShape, StepRecord, StudyState
+    from .engine import CvShape, StepRecord
 
 # resources are completed inner loops; refuse rung requirements beyond i64
 MAX_RUNG_RESOURCE = 2**63 - 1
@@ -187,29 +189,17 @@ def semantic_decide(step: "StepRecord") -> Decision:
 
 
 def _threshold_window(shape: "CvShape", config: PrunerConfig) -> tuple[int, int]:
-    """``(opens_at, closes_at)``: steps observed that open it, completed loops that close it."""
+    """``(opens_at, closes_at)``: steps observed that open it, completed loops that close it.
+
+    The threshold layer may act once enough measurements exist for a
+    meaningful median (at least ``min_threshold_steps``, and no earlier than
+    half the first inner loop) and until the configured fraction of outer
+    iterations is complete, when comparison pruning has become the more
+    reliable judge.
+    """
     opens_at = max(config.min_threshold_steps, math.ceil(shape.inner_folds / 2))
     closes_at = math.ceil(config.threshold_window_fraction * shape.outer_folds)
     return opens_at, closes_at
-
-
-def threshold_window_active(
-    steps_observed: int,
-    completed_outer: int,
-    shape: "CvShape",
-    config: PrunerConfig,
-) -> bool:
-    """Whether the threshold layer may act at this point of the nested CV.
-
-    The window opens once enough measurements exist for a meaningful median
-    (at least ``min_threshold_steps``, and no earlier than half the first
-    inner loop) and closes after the configured fraction of outer iterations,
-    when comparison pruning has become the more reliable judge.
-    """
-    if steps_observed < 0:
-        raise ValueError("steps_observed must be >= 0")
-    opens_at, closes_at = _threshold_window(shape, config)
-    return steps_observed >= opens_at and completed_outer < closes_at
 
 
 def threshold_decide(
@@ -242,26 +232,16 @@ def threshold_decide(
     return CONTINUE
 
 
-def intermediate_value(
-    completed_loop_metrics: Iterable[float], trim_fraction: float = 0.2
-) -> float | None:
-    """Pooled trimmed mean over all fully completed inner loops.
-
-    Undefined (None) before the first inner loop completes; per-step values
-    are too volatile to rank trials by.
-    """
-    if not completed_loop_metrics:
-        return None
-    return trimmed_mean(completed_loop_metrics, trim_fraction)
-
-
 def asha_rung_resource(rung: int, config: AshaConfig) -> int:
     """Completed inner loops required before a trial records at ``rung``."""
     if rung < 0:
         raise ValueError("rung must be >= 0")
-    resource = config.min_resource * config.reduction_factor ** (
-        config.min_early_stopping_rate + rung
-    )
+    exponent = config.min_early_stopping_rate + rung
+    # a factor >= 2 puts every exponent >= 63 past the bound: refuse it before
+    # building the power, which grows with the exponent
+    if exponent >= 63:
+        raise OverflowError(f"rung {rung} resource exceeds representable range")
+    resource = config.min_resource * config.reduction_factor**exponent
     if resource > MAX_RUNG_RESOURCE:
         raise OverflowError(f"rung {rung} resource exceeds representable range")
     return resource
@@ -280,6 +260,50 @@ def _rung_points(shape: "CvShape", config: PrunerConfig) -> frozenset[int]:
         points.add(resource)
         rung += 1
     return frozenset(points)
+
+
+class TrialStatus(Enum):
+    RUNNING = "running"
+    COMPLETED = "completed"
+    PRUNED = "pruned"
+
+
+@dataclass
+class TrialRuntimeState:
+    """Per-trial bookkeeping that ``combined_decide`` creates and updates.
+
+    ``decision`` is the prune that ended the trial (``CONTINUE`` otherwise).
+    """
+
+    steps_observed: int = 0
+    history: MetricHistory = field(default_factory=MetricHistory)
+    status: TrialStatus = TrialStatus.RUNNING
+    decision: Decision = CONTINUE
+
+
+@dataclass(frozen=True, eq=False)
+class StudyState:
+    """Cross-trial state that every trial of one study reports into.
+
+    The fields cannot be reassigned, so ``shape`` and ``config`` are fixed for
+    the study's life, and what follows from them alone is worked out once:
+    ``threshold_window``, the ``(opens_at, closes_at)`` bounds of the
+    threshold layer, and ``rung_points``, the completed-loop counts at which a
+    rung is due (empty while the comparison layer is off). ``lock`` serves
+    live callers that report from several threads; replay is sequential.
+    """
+
+    shape: CvShape
+    config: PrunerConfig
+    trials: dict[str, TrialRuntimeState] = field(default_factory=dict)
+    rungs: RungTable = field(default_factory=RungTable)
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    threshold_window: tuple[int, int] = field(init=False, repr=False)
+    rung_points: frozenset[int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "threshold_window", _threshold_window(self.shape, self.config))
+        object.__setattr__(self, "rung_points", _rung_points(self.shape, self.config))
 
 
 def asha_record_and_decide(
@@ -323,19 +347,21 @@ def reported_value_on_prune(observed: Iterable[float], trim_fraction: float = 0.
     return median(history)
 
 
-def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") -> Decision:
+def combined_decide(study: StudyState, trial_id: str, new_step: "StepRecord") -> Decision:
     """Consume the trial's next step and run the enabled layers in order.
 
     Layer order per step: semantic, then threshold inside its window, then,
     only when the step completes an inner loop at a rung resource, the
-    comparison layer on the trial's intermediate value, all under
-    ``study.config``. The intermediate value is computed only there: a trial
-    advances one loop at a time and records once per rung, so no other step
-    can record or prune. The window bounds and the rung resources come from
-    the study (``study.threshold_window``, ``study.rung_points``). The first
-    prune wins and is recorded on the trial
-    (``study.trials[trial_id].decision``); reporting further steps for a
-    pruned or completed trial is an error.
+    comparison layer on the trial's intermediate value (the trimmed mean of
+    every metric of its completed loops), all under ``study.config``. The
+    intermediate value is computed only there: per-step values are too
+    volatile to rank trials by, and a trial advances one loop at a time and
+    records once per rung, so no other step can record or prune. The window
+    bounds and the rung resources come from the study
+    (``study.threshold_window``, ``study.rung_points``). The first prune wins
+    and is recorded on the trial (``study.trials[trial_id].decision``, with
+    its ``status``); reporting further steps for a pruned or completed trial
+    is an error.
 
     Calls hold ``study.lock``, so live callers may report from several
     threads (one per trial) into one study; replay calls from one thread.
@@ -344,11 +370,8 @@ def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") 
     with study.lock:
         state = study.trials.get(trial_id)
         if state is None:
-            # engine imports this module, so its trial state is imported here
-            from .engine import TrialRuntimeState
-
             state = study.trials[trial_id] = TrialRuntimeState()
-        if not state.is_running:
+        if state.status is not TrialStatus.RUNNING:
             raise InvalidTrialStateError(
                 f"trial {trial_id!r} is {state.status.value}; it cannot accept steps"
             )
@@ -378,13 +401,14 @@ def combined_decide(study: "StudyState", trial_id: str, new_step: "StepRecord") 
             if steps >= opens_at and completed_loops < closes_at:
                 decision = threshold_decide(state.history, -steps % inner, config)
         if decision.layer is None and into_loop == 0 and completed_loops in study.rung_points:
-            value = intermediate_value(state.history, config.trim_fraction)
+            value = trimmed_mean(state.history, config.trim_fraction)
             decision = asha_record_and_decide(
                 study.rungs, trial_id, completed_loops, value, config.direction, config.asha
             )
 
         if decision.layer is not None:
-            state.mark_pruned(decision)
+            state.status = TrialStatus.PRUNED
+            state.decision = decision
         elif steps == study.shape.total_steps:
-            state.mark_completed()
+            state.status = TrialStatus.COMPLETED
         return decision

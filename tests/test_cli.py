@@ -119,6 +119,12 @@ class TestReplay:
         assert err.startswith("usage: nestedprune replay ")
         assert "unrecognized arguments: --workers 2" in err
 
+    def test_huge_delay_exponent_exits_one(self, traces, capsys):
+        args = ["replay", "--traces", traces, "--pruner", "asha",
+                "--min-early-stopping-rate", str(10**9)]
+        assert main(args) == 1
+        assert "rung 0 resource exceeds representable range" in capsys.readouterr().err
+
     def test_maximize_direction(self, traces, capsys):
         args = ["replay", "--traces", traces, "--pruner", "threshold",
                 "--direction", "max", "--threshold", "0.1",

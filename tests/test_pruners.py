@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +28,10 @@ from nestedprune import (
     reported_value_on_prune,
     semantic_decide,
     threshold_decide,
+    trimmed_mean,
 )
 from nestedprune import pruners
-from nestedprune.pruners import asha_rung_resource, intermediate_value, threshold_window_active
+from nestedprune.pruners import asha_rung_resource
 
 MIN = Direction.MINIMIZE
 MAX = Direction.MAXIMIZE
@@ -191,31 +193,31 @@ class TestSemanticLayer:
         assert semantic_decide(step(features=5)) == CONTINUE
 
 
-class TestThresholdWindow:
-    SHAPE = CvShape(outer_folds=30, inner_folds=10)
+def window(outer=30, inner=10, **cfg_overrides):
+    """``(opens_at, closes_at)`` of the threshold layer, as the study works it out."""
+    shape = CvShape(outer_folds=outer, inner_folds=inner)
+    return StudyState(shape=shape, config=config(**cfg_overrides)).threshold_window
 
+
+class TestThresholdWindow:
     def test_too_few_measurements(self):
-        assert not threshold_window_active(3, 0, self.SHAPE, config())
+        # never before min_threshold_steps measurements, however short the loop
+        assert window(inner=2)[0] == 4
+        assert window(inner=10, min_threshold_steps=7)[0] == 7
 
     def test_opens_at_half_inner_loop(self):
-        # max(4, ceil(10/2)) = 5
-        assert not threshold_window_active(4, 0, self.SHAPE, config())
-        assert threshold_window_active(5, 0, self.SHAPE, config())
+        # max(4, ceil(10/2)) = 5, max(4, ceil(13/2)) = 7
+        assert window(inner=10)[0] == 5
+        assert window(inner=13)[0] == 7
 
     def test_closes_after_outer_fraction(self):
-        # ceil(30/3) = 10 completed outer iterations
-        assert threshold_window_active(99, 9, self.SHAPE, config())
-        assert not threshold_window_active(150, 15, self.SHAPE, config())
-        assert not threshold_window_active(100, 10, self.SHAPE, config())
+        # ceil(30/3) = 10, ceil(31/3) = 11, ceil(0.5 * 30) = 15 completed outer iterations
+        assert window() == (5, 10)
+        assert window(outer=31)[1] == 11
+        assert window(threshold_window_fraction=0.5)[1] == 15
 
     def test_small_inner_uses_min_steps(self):
-        shape = CvShape(outer_folds=30, inner_folds=4)
-        assert not threshold_window_active(3, 0, shape, config())
-        assert threshold_window_active(4, 0, shape, config())
-
-    def test_negative_steps_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_window_active(-1, 0, self.SHAPE, config())
+        assert window(inner=4) == (4, 10)
 
 
 class TestCompositeEstimate:
@@ -346,14 +348,29 @@ class TestThresholdDecide:
 
 
 class TestIntermediateValue:
+    """The value a trial records at a rung: the trimmed mean of its whole history."""
+
     def test_absent_before_first_complete_loop(self):
-        assert intermediate_value([], 0.2) is None
+        with pytest.raises(ValueError):
+            trimmed_mean([], 0.2)
+        study = make_study(asha=AshaConfig(min_early_stopping_rate=0), threshold_enabled=False)
+        feed_constant(study, "t0", 0.4, limit=9)
+        assert study.rungs.values_at(0) == {}
+        feed_constant(study, "t1", 0.4, limit=10)
+        assert study.rungs.values_at(0) == {"t1": 0.4}
 
     def test_constant_loop(self):
-        assert intermediate_value([0.4] * 10, 0.2) == pytest.approx(0.4)
+        assert trimmed_mean([0.4] * 10, 0.2) == pytest.approx(0.4)
 
     def test_pooled_trimmed_mean(self):
-        assert intermediate_value([1, 2, 3, 4, 100], 0.2) == 3.0
+        assert trimmed_mean([1, 2, 3, 4, 100], 0.2) == 3.0
+        # pooled over every completed loop, not the last loop alone
+        study = make_study(asha=AshaConfig(min_early_stopping_rate=1), threshold_enabled=False)
+        metrics = [0.1 * (index % 7) + 0.01 * (index // 10) for index in range(30)]
+        for index, metric in enumerate(metrics):
+            outer, inner = divmod(index, 10)
+            combined_decide(study, "t0", step(outer=outer, inner=inner, metric=metric))
+        assert study.rungs.values_at(0) == {"t0": trimmed_mean(metrics, 0.2)}
 
 
 class TestAshaRungResource:
@@ -375,6 +392,20 @@ class TestAshaRungResource:
     def test_overflow_guarded(self):
         with pytest.raises(OverflowError):
             asha_rung_resource(100, self.TABLE)
+        # the smallest power at exponent 63 already exceeds the bound; 62 fits
+        halving = AshaConfig(reduction_factor=2, min_early_stopping_rate=62)
+        assert asha_rung_resource(0, halving) == 2**62
+        with pytest.raises(OverflowError):
+            asha_rung_resource(1, halving)
+
+    def test_huge_delay_exponent_refused_at_once(self):
+        # refused before the power is built: 3 ** (10**9) would take about an hour
+        started = time.perf_counter()
+        with pytest.raises(OverflowError, match="rung 0 "):
+            asha_rung_resource(0, AshaConfig(min_early_stopping_rate=10**9))
+        with pytest.raises(OverflowError, match="rung 0 "):
+            make_study(asha=AshaConfig(min_early_stopping_rate=10**9))
+        assert time.perf_counter() - started < 1.0
 
 
 class TestRungSurvivors:
@@ -491,7 +522,7 @@ class TestCombinedDecide:
         study = make_study()
         decision = combined_decide(study, "t0", step(trial="t0", features=0))
         assert decision.layer is PruneLayer.SEMANTIC
-        assert study.trials["t0"].models_trained == 1
+        assert study.trials["t0"].steps_observed == 1
 
     def test_threshold_fires_at_window_start(self):
         study = make_study(threshold=0.3)
@@ -537,6 +568,31 @@ class TestCombinedDecide:
         assert decision == CONTINUE
         assert consumed == study.shape.total_steps
 
+    def test_threshold_window_closes_after_its_last_step(self):
+        # 30x10 closes the window at 10 completed loops: step 99 is its last, step
+        # 100 is past it. With no extrapolation the estimate is the median,
+        # which turns worse than 0.45 at step 2 * good (midpoint 0.5).
+        def run(good):
+            study = make_study(
+                threshold=0.45, extrapolation=ExtrapolationMethod.NO_EXTRAPOLATION,
+                comparison_enabled=False,
+            )
+            assert study.threshold_window == (5, 10)
+            for index in range(study.shape.total_steps):
+                outer, inner = divmod(index, 10)
+                metric = 0.1 if index < good else 0.9
+                decision = combined_decide(
+                    study, "t0", step(outer=outer, inner=inner, metric=metric)
+                )
+                if decision.pruned:
+                    return decision, index + 1
+            return decision, study.trials["t0"].steps_observed
+
+        decision, consumed = run(good=50)  # median turns bad at step 100
+        assert decision == CONTINUE and consumed == 300
+        decision, consumed = run(good=49)  # one bad step earlier: at step 98
+        assert decision.layer is PruneLayer.THRESHOLD and consumed == 98
+
     def test_comparison_fires_only_at_loop_boundaries(self):
         study = make_study(threshold=5.0)  # threshold never fires
         # best trial occupies rung 0 (resource 9 = step 90)
@@ -566,9 +622,7 @@ class TestRungPoints:
     def test_study_works_out_threshold_window(self):
         study = make_study()
         assert study.threshold_window == (5, 10)
-        assert threshold_window_active(5, 9, study.shape, study.config)
-        assert not threshold_window_active(4, 0, study.shape, study.config)
-        assert not threshold_window_active(100, 10, study.shape, study.config)
+        assert make_study(inner=4).threshold_window[0] == 4
 
     def test_study_constants_cannot_go_stale(self):
         study = make_study()
@@ -578,14 +632,14 @@ class TestRungPoints:
             study.rung_points = frozenset()
 
     def test_intermediate_value_computed_only_at_rungs(self, monkeypatch):
-        original = pruners.intermediate_value
+        original = pruners.trimmed_mean
         loops_at_call = []
 
         def counting(history, trim_fraction):
             loops_at_call.append(len(history) // 10)
             return original(history, trim_fraction)
 
-        monkeypatch.setattr(pruners, "intermediate_value", counting)
+        monkeypatch.setattr(pruners, "trimmed_mean", counting)
         study = make_study(
             asha=self.TABLE_ASHA, semantic_enabled=False, threshold_enabled=False
         )
