@@ -20,7 +20,7 @@ from types import NoneType, UnionType
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .engine import TrialOutcome, full_objective, run_study
-from .errors import FormatError
+from .errors import FormatError, not_utf8
 from .metrics import Direction
 from .pruners import PruneLayer, PrunerConfig, TrialStatus
 from .trace import TraceGenConfig, TrialTrace, generate_cohort, read_traces
@@ -329,6 +329,8 @@ def load_report(path) -> BenchReport:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read report {path}: {exc}") from exc
     schema = data.get("schema") if isinstance(data, dict) else None

@@ -11,7 +11,7 @@ from typing import get_type_hints
 
 from .bench import BenchConfig, compare_pruners, emit_report, from_json, load_report
 from .engine import CvShape, StudyReport, run_study
-from .errors import FormatError
+from .errors import FormatError, not_utf8
 from .metrics import Direction, ExtrapolationMethod
 from .pruners import AshaConfig, PrunerConfig
 from .trace import TraceGenConfig, generate_cohort, read_traces, write_traces
@@ -258,6 +258,8 @@ def _load_variants(path: str, default_direction: Direction) -> dict[str, PrunerC
             data = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot open variants file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"variants file {path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict) or not data:

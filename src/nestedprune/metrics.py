@@ -13,6 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import repeat
+from math import ldexp
 from typing import Iterable
 
 
@@ -46,6 +47,13 @@ class ExtrapolationMethod(Enum):
     MEAN_DEVIATION = "mean-dev"
 
 
+# members bound once: an Enum attribute lookup costs about as much as a scaled read
+_MINIMIZE = Direction.MINIMIZE
+_MEAN_DEVIATION = ExtrapolationMethod.MEAN_DEVIATION
+_MAX_DEVIATION = ExtrapolationMethod.MAX_DEVIATION
+_OPTIMAL_METRIC = ExtrapolationMethod.OPTIMAL_METRIC
+
+
 def validate_trim_fraction(trim_fraction: float) -> None:
     if not 0.0 <= trim_fraction < 0.5:
         raise ValueError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
@@ -61,14 +69,18 @@ class MetricHistory:
     rational, and a value finer than the scale shifts every sum up when it is
     folded in. A tracked sum covers the ``index`` smallest values; a value
     inserted ahead of it moves the sum by ``value - a[index]``, and a read
-    walks the index to where the statistic needs it. Each mean therefore
-    rounds once, from exact integers.
+    walks the index to where the statistic needs it, one value at a time on a
+    threshold step. Each mean therefore rounds once, from exact integers, and
+    each threshold test is exact.
     """
 
     __slots__ = ("pending", "_sorted", "_bits", "_prefixes")
 
     def __init__(self, values: Iterable[float] = ()) -> None:
         self.pending: list[float] = list(map(float, values))
+        if not all(map(math.isfinite, self.pending)):
+            bad = next(v for v in self.pending if not math.isfinite(v))
+            raise ValueError(f"metric values must be finite, got {bad}")
         self._sorted: list[float] = []
         self._bits = 0
         # tracked prefix sums by purpose: name -> [index, scaled sum of a[:index]]
@@ -81,21 +93,26 @@ class MetricHistory:
         """The sorted values, with every pending value folded in."""
         pending, ordered = self.pending, self._sorted
         if pending:
-            if self._prefixes:
+            if self._prefixes or len(pending) == 1:
+                # one value at a time: a bisect insertion, then each tracked sum
+                # that the value enters gains it and loses the value pushed out
                 prefixes = self._prefixes.values()
+                bits = self._bits
                 for value in pending:
-                    numerator, denominator = value.as_integer_ratio()
-                    shift = self._bits + 1 - denominator.bit_length()
-                    if shift < 0:
+                    try:
+                        fits = ldexp(value, bits).is_integer()
+                    except OverflowError:  # past the float range once scaled: whole
+                        fits = True
+                    if not fits:
+                        finer = value.as_integer_ratio()[1].bit_length() - 1 - bits
                         for prefix in prefixes:
-                            prefix[1] <<= -shift
-                        self._bits -= shift
-                        shift = 0
+                            prefix[1] <<= finer
+                        bits = self._bits = bits + finer
                     at = bisect_right(ordered, value)
                     ordered.insert(at, value)
                     for prefix in prefixes:
                         if prefix[0] > at:
-                            prefix[1] += (numerator << shift) - self._scaled(ordered[prefix[0]])
+                            prefix[1] += self._scaled(value) - self._scaled(ordered[prefix[0]])
             else:
                 ordered += pending
                 ordered.sort()
@@ -120,26 +137,40 @@ class MetricHistory:
             self._bits = max(self._bits, min(1074, 53 - math.frexp(finest)[1]))
 
     def _scaled(self, value: float) -> int:
-        numerator, denominator = value.as_integer_ratio()
-        return numerator << (self._bits + 1 - denominator.bit_length())
+        """``value * 2**bits`` exactly, for a value that is a multiple of ``2**-bits``.
+
+        The product is whole, so ``ldexp`` is exact unless it overflows, and a
+        third of the cost of ``as_integer_ratio``, which covers the overflow.
+        """
+        try:
+            return int(ldexp(value, self._bits))
+        except OverflowError:
+            numerator, denominator = value.as_integer_ratio()
+            return numerator << (self._bits + 1 - denominator.bit_length())
 
     def _sum(self, values: list[float]) -> int:
         """Exact sum of ``values``, scaled by ``2**bits``."""
         try:
             # each scaled value is a whole number, so ldexp is exact or overflows
-            return sum(map(int, map(math.ldexp, values, repeat(self._bits))))
+            return sum(map(int, map(ldexp, values, repeat(self._bits))))
         except OverflowError:
             return sum(map(self._scaled, values))
 
     def _prefix_sum(self, name: str, index: int) -> int:
-        """Scaled sum of the ``index`` smallest values, tracked under ``name``."""
+        """Scaled sum of the ``index`` smallest values, tracked under ``name``.
+
+        A step of one, the common move after one value is folded in, adds one
+        scaled value.
+        """
         prefix = self._prefixes.get(name)
         if prefix is None:
             # a new prefix starts from the nearest tracked one
             start = min([(0, 0), *self._prefixes.values()], key=lambda p: abs(p[0] - index))
             prefix = self._prefixes[name] = list(start)
         at, total = prefix
-        if index > at:
+        if index == at + 1:
+            total += self._scaled(self._sorted[at])
+        elif index > at:
             total += self._sum(self._sorted[at:index])
         elif index < at:
             total -= self._sum(self._sorted[index:at])
@@ -151,7 +182,8 @@ class MetricHistory:
         if len(ordered) % 2:
             return ordered[len(ordered) // 2]
         # the exact midpoint rounded once: a central pair may sum past the float range
-        return self._center2() / (2 << self._bits)
+        center2, _, _ = self._estimate(_MINIMIZE, ExtrapolationMethod.NO_EXTRAPOLATION, None)
+        return center2 / (2 << self._bits)
 
     def trimmed_mean(self, trim_fraction: float) -> float:
         count = len(self._ordered())
@@ -160,52 +192,52 @@ class MetricHistory:
         core = self._prefix_sum("trim_high", count - cut) - low
         return core / ((count - 2 * cut) << self._bits)
 
-    def _center2(self) -> int:
-        """Twice the median, scaled: even-length series need no division."""
-        ordered = self._sorted
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return 2 * self._scaled(ordered[mid])
-        return self._scaled(ordered[mid - 1]) + self._scaled(ordered[mid])
-
-    def _optimistic(
+    def _estimate(
         self, direction: Direction, method: ExtrapolationMethod, optimal_value: float | None
-    ) -> tuple[int, int]:
-        """The optimistic value exactly, as ``numerator / (denominator << bits)``.
+    ) -> tuple[int, int, int]:
+        """Twice the median and the optimistic value, exactly, in one pass.
 
-        Mean-dev's value is the mean of the values strictly better than the
-        median, max-dev's the best value; either is the median when no value
-        is better. The values strictly below (above) the median start (end)
-        at the first (last) copy of the upper (lower) middle value.
+        Returns ``(center2, numerator, denominator)``: the median is
+        ``center2 / (2 << bits)`` and the optimistic value
+        ``numerator / (denominator << bits)``. Mean-dev's value is the mean of
+        the values strictly better than the median, max-dev's the best value;
+        either is the median when no value is better. The values strictly
+        below (above) the median start (end) at the first (last) copy of the
+        upper (lower) middle value.
         """
         ordered = self._ordered()
-        minimize = direction is Direction.MINIMIZE
-        if method is ExtrapolationMethod.OPTIMAL_METRIC:
-            if optimal_value is None:
-                raise ValueError("OPTIMAL_METRIC extrapolation requires optimal_value")
-            numerator, denominator = optimal_value.as_integer_ratio()
-            return numerator << self._bits, denominator
-        if method is ExtrapolationMethod.MAX_DEVIATION:
-            return self._scaled(ordered[0] if minimize else ordered[-1]), 1
-        if method is ExtrapolationMethod.MEAN_DEVIATION:
-            count = len(ordered)
+        count = len(ordered)
+        # the central pair: one value twice when the count is odd
+        lower, upper = ordered[(count - 1) // 2], ordered[count // 2]
+        center2 = self._scaled(lower) + self._scaled(upper)
+        minimize = direction is _MINIMIZE
+        if method is _MEAN_DEVIATION:
             if minimize:
-                below = bisect_left(ordered, ordered[count // 2])
+                below = bisect_left(ordered, upper)
                 if below:
-                    return self._prefix_sum("split", below), below
+                    return center2, self._prefix_sum("split", below), below
             else:
-                above = bisect_right(ordered, ordered[(count - 1) // 2])
+                above = bisect_right(ordered, lower)
                 if above < count:
                     whole = self._prefix_sum("whole", count)
-                    return whole - self._prefix_sum("split", above), count - above
-        return self._center2(), 2
+                    return center2, whole - self._prefix_sum("split", above), count - above
+        elif method is _MAX_DEVIATION:
+            return center2, self._scaled(ordered[0] if minimize else ordered[-1]), 1
+        elif method is _OPTIMAL_METRIC:
+            if optimal_value is None:
+                raise ValueError("OPTIMAL_METRIC extrapolation requires optimal_value")
+            if not math.isfinite(optimal_value):
+                raise ValueError(f"optimal_value must be finite, got {optimal_value}")
+            numerator, denominator = optimal_value.as_integer_ratio()
+            return center2, numerator << self._bits, denominator
+        return center2, center2, 2
 
     def extrapolate(
         self, direction: Direction, method: ExtrapolationMethod, optimal_value: float | None
     ) -> float:
         if method is ExtrapolationMethod.NO_EXTRAPOLATION:
             return self.median()
-        numerator, denominator = self._optimistic(direction, method, optimal_value)
+        _, numerator, denominator = self._estimate(direction, method, optimal_value)
         return numerator / (denominator << self._bits)
 
     def estimate_is_worse(
@@ -223,14 +255,14 @@ class MetricHistory:
         ``num / den``, both scaled, compare ``center2*done*den + 2*num*missing``
         with ``2*bound*den*(done + missing)``.
         """
-        numerator, denominator = self._optimistic(direction, method, optimal_value)
+        center2, numerator, denominator = self._estimate(direction, method, optimal_value)
         done = len(self._sorted)
         bound_numerator, bound_denominator = bound.as_integer_ratio()
         estimate = (
-            self._center2() * done * denominator + 2 * numerator * steps_missing
+            center2 * done * denominator + 2 * numerator * steps_missing
         ) * bound_denominator
         limit = (2 * bound_numerator * denominator * (done + steps_missing)) << self._bits
-        return estimate > limit if direction is Direction.MINIMIZE else estimate < limit
+        return estimate > limit if direction is _MINIMIZE else estimate < limit
 
 
 def as_history(values: Iterable[float]) -> MetricHistory:

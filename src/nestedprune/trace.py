@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .engine import CvShape, StepRecord, _step_from_checked
-from .errors import TraceFormatError
+from .errors import TraceFormatError, not_utf8
 from .metrics import Direction
 
 TRACE_HEADER = ("trial_id", "outer_fold", "inner_fold", "metric", "n_selected_features")
@@ -298,31 +298,36 @@ def _read_file(path: Path) -> list[TrialTrace]:
     inners: list[int] = []
     trial_ids: list[str] = []  # one per block of contiguous rows
     starts: list[int] = []
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_HEADER:
-            raise TraceFormatError(
-                f"header must be {','.join(TRACE_HEADER)}", path=path, line=1
-            )
-        current = None
-        for row in reader:
-            try:
-                trial_id, outer, inner, metric, count = row
-                outer, inner, count, metric = int(outer), int(inner), int(count), float(metric)
-                valid = trial_id and outer >= 0 and inner >= 0 and count >= 0 and isfinite(metric)
-            except ValueError:
-                valid = False
-            if not valid:
-                raise TraceFormatError(_row_problem(row), path=path, line=reader.line_num)
-            if trial_id != current:
-                current = trial_id
-                trial_ids.append(trial_id)
-                starts.append(len(metrics))
-            metrics.append(metric)
-            features.append(count)
-            outers.append(outer)
-            inners.append(inner)
+    try:
+        with handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or tuple(header) != TRACE_HEADER:
+                raise TraceFormatError(
+                    f"header must be {','.join(TRACE_HEADER)}", path=path, line=1
+                )
+            current = None
+            for row in reader:
+                try:
+                    trial_id, outer, inner, metric, count = row
+                    outer, inner, count, metric = int(outer), int(inner), int(count), float(metric)
+                    valid = (
+                        trial_id and outer >= 0 and inner >= 0 and count >= 0 and isfinite(metric)
+                    )
+                except ValueError:
+                    valid = False
+                if not valid:
+                    raise TraceFormatError(_row_problem(row), path=path, line=reader.line_num)
+                if trial_id != current:
+                    current = trial_id
+                    trial_ids.append(trial_id)
+                    starts.append(len(metrics))
+                metrics.append(metric)
+                features.append(count)
+                outers.append(outer)
+                inners.append(inner)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, TraceFormatError) from exc
     if not metrics:
         raise TraceFormatError("trace file contains no step rows", path=path)
     starts.append(len(metrics))

@@ -111,6 +111,15 @@ class TestReplay:
         assert main(args) == 1
         assert "missing.csv" in capsys.readouterr().err
 
+    def test_undecodable_trace_names_file_and_line(self, tmp_path, capsys):
+        traces = tmp_path / "t.csv"
+        main(gen_args(traces, trials=4, outer=30, inner=10))
+        lines = traces.read_bytes().split(b"\n")
+        lines[999] = b"\xe9" + lines[999]  # about 30 KB in: past the decoder's first chunk
+        traces.write_bytes(b"\n".join(lines))
+        assert main(["replay", "--traces", str(traces), "--pruner", "none"]) == 1
+        assert f"error: {traces}: line 1000: not UTF-8 text" in capsys.readouterr().err
+
     def test_workers_flag_is_a_usage_error(self, traces, capsys):
         with pytest.raises(SystemExit) as info:
             main(["replay", "--traces", traces, "--pruner", "none", "--workers", "2"])
@@ -211,6 +220,19 @@ class TestBench:
         assert "--reps" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_undecodable_variants_name_file_and_line(self, tmp_path, capsys):
+        variants = tmp_path / "variants.json"
+        variants.write_bytes(
+            b'{"asha": {"semantic_enabled": false, "threshold_enabled": false},\n'
+            b' "three-layer": {"threshold": 0.45,\n'
+            b' "extrapolation": "mean-dev\xe9"}}\n'
+        )
+        args = ["bench", "--reps", "1", "--trials", "4", "--outer", "6", "--inner", "4",
+                "--variants", str(variants), "--baseline", "asha",
+                "--out", str(tmp_path / "r.json")]
+        assert main(args) == 1
+        assert f"error: {variants}: line 3: not UTF-8 text" in capsys.readouterr().err
+
     def test_traces_report_bytes(self, tmp_path):
         # sha256 recorded before traces were held as columns; the JSON digest was
         # re-pinned when the report lost its "workers" line, nothing else changed
@@ -305,6 +327,14 @@ class TestReport:
         assert main(["report", "--in", str(report_path), "--format", "json",
                      "--out", str(out)]) == 0
         assert out.read_bytes() == report_path.read_bytes()
+
+    def test_undecodable_report_names_file_and_line(self, report_path, tmp_path, capsys):
+        lines = report_path.read_bytes().split(b"\n")
+        lines[4] += b"\xe9"
+        report_path.write_bytes(b"\n".join(lines))
+        assert main(["report", "--in", str(report_path), "--format", "csv",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert f"error: {report_path}: line 5: not UTF-8 text" in capsys.readouterr().err
 
     def test_malformed_input_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

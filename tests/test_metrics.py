@@ -1,5 +1,7 @@
 """Unit tests for the robust statistics and extrapolation primitives."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -234,6 +236,28 @@ class TestMetricHistory:
                         seen, missing, direction, method, optimal, threshold
                     )
                     assert threshold_decide(history, missing, config).pruned == expected
+
+
+class TestNonFiniteInput:
+    """A history refuses non-finite metrics by name instead of failing deep in the arithmetic."""
+
+    @pytest.mark.parametrize("values", [[0.1, math.nan], [math.inf, 0.2], [0.3, -math.inf, 0.1]])
+    def test_statistics_reject_it(self, values):
+        reads = (
+            median,
+            lambda v: trimmed_mean(v, 0.2),
+            lambda v: extrapolate(v, MIN, ExtrapolationMethod.MEAN_DEVIATION),
+            lambda v: extrapolate(v, MAX, ExtrapolationMethod.OPTIMAL_METRIC, 1.0),
+            MetricHistory,
+        )
+        for read in reads:
+            with pytest.raises(ValueError, match="metric values must be finite, got -?(nan|inf)"):
+                read(values)
+
+    @pytest.mark.parametrize("optimal", [math.nan, math.inf, -math.inf])
+    def test_optimal_value_must_be_finite(self, optimal):
+        with pytest.raises(ValueError, match=f"optimal_value must be finite, got {optimal}"):
+            extrapolate([0.5, 0.6], MIN, ExtrapolationMethod.OPTIMAL_METRIC, optimal)
 
 
 class TestDirection:

@@ -5,9 +5,15 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_rung_cutoff, brute_rung_survivors
+from oracles import (
+    brute_rung_cutoff,
+    brute_rung_survivors,
+    brute_threshold_prunes,
+    exact_median,
+    exact_trimmed_mean,
+)
 
 from nestedprune import (
     CONTINUE,
@@ -689,3 +695,71 @@ class TestDirectionSymmetry:
                     assert decision_max.reported_value == -decision_min.reported_value
                 if decision_min.pruned:
                     break
+
+
+# ties at simple values, both zeros, and values finer than any before them
+live_metrics = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 0.5, -1.5, 2.0, 0.1, 5e-324, -1e-310]),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+
+
+class TestLiveThresholdSteps:
+    """``combined_decide`` step by step inside the threshold window, against the exact oracle.
+
+    Every method is fed the same metrics in both directions. A lone trial
+    never loses a rung, but each rung (at 1, 3 and 9 completed loops) reads
+    ``trimmed_mean``, so the history also tracks its sums; a window that opens
+    after a rung folds many pending values into them at once.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(live_metrics, min_size=1, max_size=36),
+        st.sampled_from([2, 3]),
+        st.integers(min_value=4, max_value=12),
+        st.floats(min_value=-2.5, max_value=2.5),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    # one pending value per step while the split (and trimmed-mean) sums are tracked
+    @example([0.3, 0.7, 0.5, 0.9, 0.2, 0.6, 0.4, 0.8, 0.35, 0.65], 2, 4, 0.55, 0.0)
+    # rungs at steps 2 and 6 track sums; the window opens at 12 and folds 6 values
+    @example([0.4, 0.9, 0.1, 0.7, 0.3, 0.8, 0.2, 0.6, 0.5, 0.45, 0.55, 0.35, 0.65, 0.3],
+             2, 12, 0.5, 0.0)
+    # values finer than the scale arrive after sums exist: every sum is rescaled
+    @example([0.5, 1.0, 0.25, 2.0, 0.75, 5e-324, 0.5, -1e-310, 0.3, 0.1], 2, 4, 0.6, -1.0)
+    # ties at the median
+    @example([0.5, 0.5, 0.5, 0.4, 0.5, 0.6, 0.5, 0.5, 0.4, 0.6, 0.5], 3, 4, 0.5, 0.5)
+    # both zeros
+    @example([0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 5e-324, -0.0, 0.0], 3, 4, 0.0, -0.0)
+    def test_every_step_matches_the_oracle(self, metrics, inner, opens_at, threshold, optimal):
+        shape = CvShape(outer_folds=20, inner_folds=inner)  # the window never closes here
+        for direction in (MIN, MAX):
+            for method in ExtrapolationMethod:
+                study = StudyState(shape=shape, config=PrunerConfig(
+                    direction=direction,
+                    threshold=threshold,
+                    extrapolation=method,
+                    optimal_value=optimal,
+                    min_threshold_steps=opens_at,
+                    threshold_window_fraction=1.0,
+                    asha=AshaConfig(min_early_stopping_rate=0),
+                ))
+                for index, metric in enumerate(metrics):
+                    outer, inner_idx = divmod(index, inner)
+                    decision = combined_decide(
+                        study, "t0", step(outer=outer, inner=inner_idx, metric=metric)
+                    )
+                    seen = metrics[: index + 1]
+                    expected = len(seen) >= opens_at and brute_threshold_prunes(
+                        seen, -len(seen) % inner, direction, method, optimal, threshold
+                    )
+                    assert decision.pruned == expected, (direction, method, index)
+                    if decision.pruned:
+                        assert decision.layer is PruneLayer.THRESHOLD
+                        if len(seen) >= 5:
+                            assert decision.reported_value == float(exact_trimmed_mean(seen, 0.2))
+                        else:
+                            assert decision.reported_value == float(exact_median(seen))
+                        break
+

@@ -430,3 +430,16 @@ class TestFormatErrors:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError):
             read_traces(tmp_path / "nope.csv")
+
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        # far past the first chunk the decoder is handed, so its own offset is no help
+        rows = [row for t in range(200) for row in rows_for(f"t{t}", SHAPE)]
+        lines = (HEADER + "\n" + "\n".join(rows) + "\n").encode("utf-8").split(b"\n")
+        lines[999] = b"\xe9" + lines[999]
+        path = tmp_path / "traces.csv"
+        path.write_bytes(b"\n".join(lines))
+        assert path.stat().st_size > 8192
+        with pytest.raises(TraceFormatError) as err:
+            read_traces(path)
+        assert (err.value.path, err.value.line) == (path, 1000)
+        assert str(err.value).startswith(f"{path}: line 1000: not UTF-8 text")
