@@ -30,10 +30,6 @@ class Direction(Enum):
         """True iff ``a`` is strictly worse than ``b``."""
         return a > b if self is Direction.MINIMIZE else a < b
 
-    def is_better(self, a: float, b: float) -> bool:
-        """True iff ``a`` is strictly better than ``b``."""
-        return a < b if self is Direction.MINIMIZE else a > b
-
 
 class ExtrapolationMethod(Enum):
     """How to estimate the metric of steps that have not been computed yet.
@@ -59,6 +55,15 @@ def validate_trim_fraction(trim_fraction: float) -> None:
         raise ValueError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
 
 
+def _checked_optimal(optimal_value: float | None) -> float:
+    """``optimal_value``, which ``OPTIMAL_METRIC`` extrapolation requires finite."""
+    if optimal_value is None:
+        raise ValueError("OPTIMAL_METRIC extrapolation requires optimal_value")
+    if not math.isfinite(optimal_value):
+        raise ValueError(f"optimal_value must be finite, got {optimal_value}")
+    return optimal_value
+
+
 class MetricHistory:
     """A trial's metrics, kept sorted, with exact sums of the prefixes statistics read.
 
@@ -71,7 +76,8 @@ class MetricHistory:
     inserted ahead of it moves the sum by ``value - a[index]``, and a read
     walks the index to where the statistic needs it, one value at a time on a
     threshold step. Each mean therefore rounds once, from exact integers, and
-    each threshold test is exact.
+    each threshold test is exact. A threshold step that the central values
+    settle on their own (``estimate_is_worse``) reads no sum at all.
     """
 
     __slots__ = ("pending", "_sorted", "_bits", "_prefixes")
@@ -182,7 +188,9 @@ class MetricHistory:
         if len(ordered) % 2:
             return ordered[len(ordered) // 2]
         # the exact midpoint rounded once: a central pair may sum past the float range
-        center2, _, _ = self._estimate(_MINIMIZE, ExtrapolationMethod.NO_EXTRAPOLATION, None)
+        center2, _, _ = self._estimate(
+            ordered, _MINIMIZE, ExtrapolationMethod.NO_EXTRAPOLATION, None
+        )
         return center2 / (2 << self._bits)
 
     def trimmed_mean(self, trim_fraction: float) -> float:
@@ -193,11 +201,16 @@ class MetricHistory:
         return core / ((count - 2 * cut) << self._bits)
 
     def _estimate(
-        self, direction: Direction, method: ExtrapolationMethod, optimal_value: float | None
+        self,
+        ordered: list[float],
+        direction: Direction,
+        method: ExtrapolationMethod,
+        optimal_value: float | None,
     ) -> tuple[int, int, int]:
-        """Twice the median and the optimistic value, exactly, in one pass.
+        """Twice the median and the optimistic value of ``ordered``, exactly, in one pass.
 
-        Returns ``(center2, numerator, denominator)``: the median is
+        ``ordered`` is the history as ``_ordered`` returns it, with nothing
+        pending. Returns ``(center2, numerator, denominator)``: the median is
         ``center2 / (2 << bits)`` and the optimistic value
         ``numerator / (denominator << bits)``. Mean-dev's value is the mean of
         the values strictly better than the median, max-dev's the best value;
@@ -205,7 +218,6 @@ class MetricHistory:
         below (above) the median start (end) at the first (last) copy of the
         upper (lower) middle value.
         """
-        ordered = self._ordered()
         count = len(ordered)
         # the central pair: one value twice when the count is odd
         lower, upper = ordered[(count - 1) // 2], ordered[count // 2]
@@ -224,11 +236,7 @@ class MetricHistory:
         elif method is _MAX_DEVIATION:
             return center2, self._scaled(ordered[0] if minimize else ordered[-1]), 1
         elif method is _OPTIMAL_METRIC:
-            if optimal_value is None:
-                raise ValueError("OPTIMAL_METRIC extrapolation requires optimal_value")
-            if not math.isfinite(optimal_value):
-                raise ValueError(f"optimal_value must be finite, got {optimal_value}")
-            numerator, denominator = optimal_value.as_integer_ratio()
+            numerator, denominator = _checked_optimal(optimal_value).as_integer_ratio()
             return center2, numerator << self._bits, denominator
         return center2, center2, 2
 
@@ -237,7 +245,9 @@ class MetricHistory:
     ) -> float:
         if method is ExtrapolationMethod.NO_EXTRAPOLATION:
             return self.median()
-        _, numerator, denominator = self._estimate(direction, method, optimal_value)
+        _, numerator, denominator = self._estimate(
+            self._ordered(), direction, method, optimal_value
+        )
         return numerator / (denominator << self._bits)
 
     def estimate_is_worse(
@@ -250,13 +260,34 @@ class MetricHistory:
     ) -> bool:
         """Whether the blended estimate is strictly worse than ``bound``, decided exactly.
 
-        The estimate is ``(median*done + optimistic*missing) / (done + missing)``.
-        With the median as ``center2 / 2`` and the optimistic value as
-        ``num / den``, both scaled, compare ``center2*done*den + 2*num*missing``
-        with ``2*bound*den*(done + missing)``.
+        The estimate is ``(median*done + optimistic*missing) / (done + missing)``,
+        a weighted mean of the median and the optimistic value, so it is no
+        worse than ``bound`` when neither of them is. The step is then settled
+        by comparisons alone: the median lies between the central pair, so it
+        is no worse than the bound when the central value on the worse side is
+        not; the optimistic value of ``none``, ``max-dev`` and ``mean-dev`` is
+        never worse than the median, and that of ``optimal`` is
+        ``optimal_value``. Ties are not worse, as in the strict test below.
+
+        Every other step is decided in exact integers: with the median as
+        ``center2 / 2`` and the optimistic value as ``num / den``, both scaled,
+        compare ``center2*done*den + 2*num*missing`` with
+        ``2*bound*den*(done + missing)``.
         """
-        center2, numerator, denominator = self._estimate(direction, method, optimal_value)
-        done = len(self._sorted)
+        ordered = self._ordered()
+        done = len(ordered)
+        if direction is _MINIMIZE:
+            if ordered[done // 2] <= bound and (
+                method is not _OPTIMAL_METRIC or _checked_optimal(optimal_value) <= bound
+            ):
+                return False
+        elif ordered[(done - 1) // 2] >= bound and (
+            method is not _OPTIMAL_METRIC or _checked_optimal(optimal_value) >= bound
+        ):
+            return False
+        center2, numerator, denominator = self._estimate(
+            ordered, direction, method, optimal_value
+        )
         bound_numerator, bound_denominator = bound.as_integer_ratio()
         estimate = (
             center2 * done * denominator + 2 * numerator * steps_missing

@@ -212,8 +212,11 @@ def threshold_decide(
     remaining steps are extrapolated, never later inner loops. The estimate
     blends the median and the optimistic value by step counts,
     ``(median*done + optimistic*missing) / (done + missing)``, and is compared
-    with the threshold in exact arithmetic. The caller is responsible for
-    checking the activation window first.
+    with the threshold in exact arithmetic. When neither the median nor the
+    optimistic value is worse than the threshold, neither is the blend, and
+    ``history.estimate_is_worse`` settles the step from the central values
+    with no sums. The caller is responsible for checking the activation window
+    first.
     """
     if config.threshold is None:
         raise ValueError("threshold_decide requires a configured threshold")

@@ -328,8 +328,11 @@ def _read_file(path: Path) -> list[TrialTrace]:
                 inners.append(inner)
     except UnicodeDecodeError as exc:
         raise not_utf8(path, TraceFormatError) from exc
+    except csv.Error as exc:  # a quoted field that runs past the field size limit
+        raise TraceFormatError(f"bad CSV: {exc}", path=path, line=reader.line_num) from exc
     if not metrics:
-        raise TraceFormatError("trace file contains no step rows", path=path)
+        # the header is line 1, and no row follows it
+        raise TraceFormatError("trace file contains no step rows", path=path, line=1)
     starts.append(len(metrics))
 
     seen: set[str] = set()

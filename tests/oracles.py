@@ -38,11 +38,12 @@ def exact_mean(values) -> Fraction:
 
 
 def exact_median(values) -> Fraction:
-    ordered = sorted(Fraction(float(v)) for v in values)
+    # floats compare exactly, so only the central pair needs to be rational
+    ordered = sorted(map(float, values))
     mid = len(ordered) // 2
     if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
+        return Fraction(ordered[mid])
+    return (Fraction(ordered[mid - 1]) + Fraction(ordered[mid])) / 2
 
 
 def exact_trimmed_mean(values, trim_fraction: float) -> Fraction:

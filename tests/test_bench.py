@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from mutations import damaged, edits
 
 from nestedprune import (
     AshaConfig,
@@ -261,6 +263,18 @@ class TestReportSerialization:
     def test_unknown_format_rejected(self, report, tmp_path):
         with pytest.raises(ValueError):
             emit_report(report, "xml", tmp_path / "r.xml")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits)
+    def test_damaged_report_fails_naming_the_file(self, report, tmp_path, edits):
+        path = tmp_path / "report.json"
+        emit_report(report, "json", path)
+        path.write_bytes(damaged(path.read_bytes(), edits))
+        try:
+            load_report(path)
+        except FormatError as exc:
+            assert str(path) in str(exc)
 
     def test_malformed_report_rejected(self, report, tmp_path):
         path = tmp_path / "bad.json"

@@ -238,6 +238,98 @@ class TestMetricHistory:
                     assert threshold_decide(history, missing, config).pruned == expected
 
 
+class TestMedianSettledSteps:
+    """A threshold step the central values settle skips the exact pass, and agrees with it.
+
+    The blend is a weighted mean of the median and the optimistic value, so it
+    is not worse than the bound when neither is. Bounds on the central pair,
+    their midpoint, the best value and ``optimal_value`` put ties exactly on
+    that check.
+    """
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.tuples(history_values, st.booleans()), min_size=1, max_size=40),
+        st.sampled_from(list(ExtrapolationMethod)),
+        st.sampled_from([MIN, MAX]),
+        st.sampled_from(["lower", "upper", "midpoint", "best", "optimal"]),
+        st.integers(min_value=0, max_value=12),
+        st.one_of(history_values, st.floats(min_value=-3.0, max_value=3.0)),
+    )
+    def test_bound_on_the_checked_values(self, steps, method, direction, at, missing, optimal):
+        history = MetricHistory()
+        seen = []
+        for value, query in steps[:-1] + [(steps[-1][0], True)]:
+            history.pending.append(value)
+            seen.append(value)
+            if not query:
+                continue
+            ordered = sorted(seen)
+            lower, upper = ordered[(len(ordered) - 1) // 2], ordered[len(ordered) // 2]
+            bound = {
+                "lower": lower,
+                "upper": upper,
+                "midpoint": (lower + upper) / 2,
+                "best": ordered[0] if direction is MIN else ordered[-1],
+                "optimal": optimal,
+            }[at]
+            config = PrunerConfig(
+                direction=direction, threshold=bound, extrapolation=method, optimal_value=optimal
+            )
+            expected = brute_threshold_prunes(seen, missing, direction, method, optimal, bound)
+            assert threshold_decide(history, missing, config).pruned == expected
+
+    @pytest.fixture()
+    def exact_passes(self, monkeypatch):
+        """The number of threshold steps that reached the exact pass, as a one-item list."""
+        calls = [0]
+        estimate = MetricHistory._estimate
+
+        def counted(self, *args):
+            calls[0] += 1
+            return estimate(self, *args)
+
+        monkeypatch.setattr(MetricHistory, "_estimate", counted)
+        return calls
+
+    @staticmethod
+    def decide(values, bound, missing, direction, method, optimal=0.0):
+        """The decision under ``direction``: MAXIMIZE negates every number, so cases mirror."""
+        sign = 1.0 if direction is MIN else -1.0
+        values, bound, optimal = [sign * v for v in values], sign * bound, sign * optimal
+        worse = MetricHistory(values).estimate_is_worse(bound, missing, direction, method, optimal)
+        assert worse == brute_threshold_prunes(values, missing, direction, method, optimal, bound)
+        return worse
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    @pytest.mark.parametrize("method", list(ExtrapolationMethod))
+    @pytest.mark.parametrize(
+        "values, bound",
+        [([0.1, 0.2, 0.5], 0.2), ([0.1, 0.2, 0.5, 0.9], 0.5)],
+        ids=["odd", "even"],
+    )
+    def test_worse_central_value_on_the_bound_continues(
+        self, exact_passes, values, bound, method, direction
+    ):
+        assert not self.decide(values, bound, 6, direction, method)
+        assert exact_passes == [0]
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    def test_bound_inside_the_central_pair_takes_the_exact_pass(self, exact_passes, direction):
+        # median 0.35 is worse than 0.3 and mean-dev's 0.15 better: the step counts decide
+        values = [0.1, 0.2, 0.5, 0.9]
+        assert self.decide(values, 0.3, 0, direction, ExtrapolationMethod.MEAN_DEVIATION)
+        assert not self.decide(values, 0.3, 4, direction, ExtrapolationMethod.MEAN_DEVIATION)
+        assert exact_passes == [2]
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    def test_optimal_value_worse_than_the_bound_prunes(self, exact_passes, direction):
+        # the median 0.1 is better than 0.2, but ten steps at 1.0 pull the blend past it
+        values = [0.1, 0.1, 0.1]
+        assert self.decide(values, 0.2, 10, direction, ExtrapolationMethod.OPTIMAL_METRIC, 1.0)
+        assert exact_passes == [1]
+
+
 class TestNonFiniteInput:
     """A history refuses non-finite metrics by name instead of failing deep in the arithmetic."""
 
@@ -265,10 +357,6 @@ class TestDirection:
         assert MIN.is_worse(0.6, 0.5)
         assert not MIN.is_worse(0.5, 0.5)
         assert MAX.is_worse(0.4, 0.5)
-
-    def test_is_better(self):
-        assert MIN.is_better(0.4, 0.5)
-        assert not MAX.is_better(0.5, 0.5)
 
     def test_flipped(self):
         assert MIN.flipped() is MAX

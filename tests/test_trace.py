@@ -6,6 +6,8 @@ import math
 
 import oracles
 import pytest
+from hypothesis import HealthCheck, given, settings
+from mutations import damaged, edits
 
 import nestedprune.engine as engine_module
 import nestedprune.trace as trace_module
@@ -430,6 +432,38 @@ class TestFormatErrors:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError):
             read_traces(tmp_path / "nope.csv")
+
+    def test_header_alone_names_line_1(self, tmp_path):
+        path = write_text(tmp_path, HEADER + "\n")
+        with pytest.raises(TraceFormatError) as err:
+            read_traces(path)
+        assert (err.value.path, err.value.line) == (path, 1)
+        assert str(err.value) == f"{path}: line 1: trace file contains no step rows"
+
+    def test_field_past_the_csv_limit_names_its_line(self, tmp_path):
+        # an unclosed quote runs the field to the end of the file
+        rows = rows_for("t0", SHAPE)
+        rows[1] = 't0,0,1,"0.5' + "9" * 200_000
+        path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(TraceFormatError) as err:
+            read_traces(path)
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}: line {err.value.line}: bad CSV: field larger")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits)
+    def test_damaged_file_fails_with_file_and_line(self, tmp_path, edits):
+        path = tmp_path / "traces.csv"
+        write_traces(generate_cohort(gen_config()), path)
+        data = damaged(path.read_bytes(), edits)
+        path.write_bytes(data)
+        try:
+            read_traces(path)
+        except TraceFormatError as exc:
+            assert exc.path == path
+            assert 1 <= exc.line <= data.count(b"\n") + 1
+            assert str(exc).startswith(f"{path}: line {exc.line}: ")
 
     def test_undecodable_bytes_name_their_line(self, tmp_path):
         # far past the first chunk the decoder is handed, so its own offset is no help
