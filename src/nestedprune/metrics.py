@@ -10,7 +10,7 @@ depend on input order and negating a series negates every result exactly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from enum import Enum
 from itertools import repeat
 from math import ldexp
@@ -65,22 +65,20 @@ def _checked_optimal(optimal_value: float | None) -> float:
 
 
 class MetricHistory:
-    """A trial's metrics, kept sorted, with exact sums of the prefixes statistics read.
+    """A trial's metrics, kept sorted, summed exactly over the slice a statistic reads.
 
     New metrics go to ``pending`` (``history.pending.append(value)``), so a
     step that reads no statistic costs one list append. Pending values are
-    folded into the sorted list when a statistic is read. Sums are exact
-    integers over one power-of-two scale ``2**bits``: every float is a dyadic
-    rational, and a value finer than the scale shifts every sum up when it is
-    folded in. A tracked sum covers the ``index`` smallest values; a value
-    inserted ahead of it moves the sum by ``value - a[index]``, and a read
-    walks the index to where the statistic needs it, one value at a time on a
-    threshold step. Each mean therefore rounds once, from exact integers, and
-    each threshold test is exact. A threshold step that the central values
-    settle on their own (``estimate_is_worse``) reads no sum at all.
+    folded into the sorted list when a statistic is read: a lone value by one
+    ``insort``, several by one sort. A read that sums fits one power-of-two
+    scale ``2**bits`` to the values first (every float is a dyadic rational),
+    then sums the one slice it needs in exact integers at that scale. Each
+    mean therefore rounds once, from exact integers, and each threshold test
+    is exact. A threshold step that the central values settle on their own
+    (``estimate_is_worse``) reads no sum at all.
     """
 
-    __slots__ = ("pending", "_sorted", "_bits", "_prefixes")
+    __slots__ = ("pending", "_sorted", "_bits")
 
     def __init__(self, values: Iterable[float] = ()) -> None:
         self.pending: list[float] = list(map(float, values))
@@ -89,8 +87,6 @@ class MetricHistory:
             raise ValueError(f"metric values must be finite, got {bad}")
         self._sorted: list[float] = []
         self._bits = 0
-        # tracked prefix sums by purpose: name -> [index, scaled sum of a[:index]]
-        self._prefixes: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._sorted) + len(self.pending)
@@ -99,37 +95,18 @@ class MetricHistory:
         """The sorted values, with every pending value folded in."""
         pending, ordered = self.pending, self._sorted
         if pending:
-            if self._prefixes or len(pending) == 1:
-                # one value at a time: a bisect insertion, then each tracked sum
-                # that the value enters gains it and loses the value pushed out
-                prefixes = self._prefixes.values()
-                bits = self._bits
-                for value in pending:
-                    try:
-                        fits = ldexp(value, bits).is_integer()
-                    except OverflowError:  # past the float range once scaled: whole
-                        fits = True
-                    if not fits:
-                        finer = value.as_integer_ratio()[1].bit_length() - 1 - bits
-                        for prefix in prefixes:
-                            prefix[1] <<= finer
-                        bits = self._bits = bits + finer
-                    at = bisect_right(ordered, value)
-                    ordered.insert(at, value)
-                    for prefix in prefixes:
-                        if prefix[0] > at:
-                            prefix[1] += self._scaled(value) - self._scaled(ordered[prefix[0]])
+            if len(pending) == 1:
+                insort(ordered, pending[0])
             else:
                 ordered += pending
                 ordered.sort()
-                self._fit_scale()
             pending.clear()
         if not ordered:
             raise ValueError("requires at least one metric value")
         return ordered
 
     def _fit_scale(self) -> None:
-        """Refine the scale to cover the sorted values; only while nothing is summed.
+        """Refine the scale to cover the sorted values; every read that sums calls it first.
 
         A float of frexp exponent ``e`` is a multiple of ``2**(e - 53)``, and so
         is every float of larger magnitude, so the nonzero value nearest zero
@@ -162,27 +139,6 @@ class MetricHistory:
         except OverflowError:
             return sum(map(self._scaled, values))
 
-    def _prefix_sum(self, name: str, index: int) -> int:
-        """Scaled sum of the ``index`` smallest values, tracked under ``name``.
-
-        A step of one, the common move after one value is folded in, adds one
-        scaled value.
-        """
-        prefix = self._prefixes.get(name)
-        if prefix is None:
-            # a new prefix starts from the nearest tracked one
-            start = min([(0, 0), *self._prefixes.values()], key=lambda p: abs(p[0] - index))
-            prefix = self._prefixes[name] = list(start)
-        at, total = prefix
-        if index == at + 1:
-            total += self._scaled(self._sorted[at])
-        elif index > at:
-            total += self._sum(self._sorted[at:index])
-        elif index < at:
-            total -= self._sum(self._sorted[index:at])
-        prefix[0], prefix[1] = index, total
-        return total
-
     def median(self) -> float:
         ordered = self._ordered()
         if len(ordered) % 2:
@@ -194,11 +150,11 @@ class MetricHistory:
         return center2 / (2 << self._bits)
 
     def trimmed_mean(self, trim_fraction: float) -> float:
-        count = len(self._ordered())
+        ordered = self._ordered()
+        self._fit_scale()
+        count = len(ordered)
         cut = math.floor(trim_fraction * count)
-        low = self._prefix_sum("trim_low", cut)
-        core = self._prefix_sum("trim_high", count - cut) - low
-        return core / ((count - 2 * cut) << self._bits)
+        return self._sum(ordered[cut : count - cut]) / ((count - 2 * cut) << self._bits)
 
     def _estimate(
         self,
@@ -218,6 +174,7 @@ class MetricHistory:
         below (above) the median start (end) at the first (last) copy of the
         upper (lower) middle value.
         """
+        self._fit_scale()
         count = len(ordered)
         # the central pair: one value twice when the count is odd
         lower, upper = ordered[(count - 1) // 2], ordered[count // 2]
@@ -227,12 +184,11 @@ class MetricHistory:
             if minimize:
                 below = bisect_left(ordered, upper)
                 if below:
-                    return center2, self._prefix_sum("split", below), below
+                    return center2, self._sum(ordered[:below]), below
             else:
                 above = bisect_right(ordered, lower)
                 if above < count:
-                    whole = self._prefix_sum("whole", count)
-                    return center2, whole - self._prefix_sum("split", above), count - above
+                    return center2, self._sum(ordered[above:]), count - above
         elif method is _MAX_DEVIATION:
             return center2, self._scaled(ordered[0] if minimize else ordered[-1]), 1
         elif method is _OPTIMAL_METRIC:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import random
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -232,6 +233,13 @@ def write_traces(cohort: Sequence[TrialTrace], path, per_trial: bool = False) ->
     """Write a cohort as one combined CSV file, or one file per trial in a directory."""
     target = Path(path)
     if per_trial:
+        # each file is named after its trial, so every id must name a file in target
+        for trace in cohort:
+            trial_id = trace.trial_id
+            if trial_id in ("", ".", "..") or any(
+                sep and sep in trial_id for sep in ("/", os.sep, os.altsep, "\0")
+            ):
+                raise ValueError(f"trial id {trial_id!r} is not a plain file name")
         target.mkdir(parents=True, exist_ok=True)
         for trace in cohort:
             _write_file([trace], target / f"{trace.trial_id}.csv")

@@ -59,6 +59,28 @@ def within_one_ulp(actual: float, exact: Fraction) -> bool:
     return abs(Fraction(actual) - exact) <= Fraction(math.ulp(scale))
 
 
+def exact_optimistic(
+    values, direction: Direction, method: ExtrapolationMethod, optimal_value: float
+) -> Fraction:
+    """Exact-arithmetic recomputation of the optimistic value ``extrapolate`` rounds."""
+    center = exact_median(values)
+    if method is ExtrapolationMethod.OPTIMAL_METRIC:
+        return Fraction(float(optimal_value))
+    if method is ExtrapolationMethod.NO_EXTRAPOLATION:
+        return center
+    if direction is Direction.MINIMIZE:
+        deviations = [center - Fraction(float(v)) for v in values if Fraction(float(v)) < center]
+    else:
+        deviations = [Fraction(float(v)) - center for v in values if Fraction(float(v)) > center]
+    if not deviations:
+        return center
+    if method is ExtrapolationMethod.MAX_DEVIATION:
+        step = max(deviations)
+    else:
+        step = sum(deviations, Fraction(0)) / len(deviations)
+    return center - step if direction is Direction.MINIMIZE else center + step
+
+
 def brute_threshold_prunes(
     values,
     steps_missing: int,
@@ -69,23 +91,7 @@ def brute_threshold_prunes(
 ) -> bool:
     """Exact-arithmetic recomputation of the threshold-layer prune decision."""
     center = exact_median(values)
-    if method is ExtrapolationMethod.OPTIMAL_METRIC:
-        optimistic = Fraction(float(optimal_value))
-    elif method is ExtrapolationMethod.NO_EXTRAPOLATION:
-        optimistic = center
-    else:
-        if direction is Direction.MINIMIZE:
-            deviations = [center - Fraction(float(v)) for v in values if Fraction(float(v)) < center]
-        else:
-            deviations = [Fraction(float(v)) - center for v in values if Fraction(float(v)) > center]
-        if not deviations:
-            optimistic = center
-        elif method is ExtrapolationMethod.MAX_DEVIATION:
-            step = max(deviations)
-            optimistic = center - step if direction is Direction.MINIMIZE else center + step
-        else:
-            step = sum(deviations, Fraction(0)) / len(deviations)
-            optimistic = center - step if direction is Direction.MINIMIZE else center + step
+    optimistic = exact_optimistic(values, direction, method, optimal_value)
     done = len(values)
     composite = (center * done + optimistic * steps_missing) / (done + steps_missing)
     if direction is Direction.MINIMIZE:

@@ -5,7 +5,13 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_threshold_prunes, exact_mean, exact_median, exact_trimmed_mean
+from oracles import (
+    brute_threshold_prunes,
+    exact_mean,
+    exact_median,
+    exact_optimistic,
+    exact_trimmed_mean,
+)
 
 from nestedprune import (
     Direction,
@@ -208,7 +214,8 @@ class TestMetricHistory:
         st.floats(min_value=-2.5, max_value=2.5),
         st.floats(min_value=-3.0, max_value=3.0),
     )
-    # a subnormal folded in after coarse values were summed: every sum rescales
+    # a subnormal folded in alone after coarse values were read: the next read
+    # refits the scale to it; then -0.0 and 0.75 go in by one bulk fold after a read
     @example([(0.5, False), (1.0, False), (0.25, False), (2.0, True), (5e-324, True),
               (-0.0, False), (0.75, True)], 0.2, 3, 0.5, 0.0)
     # a central pair whose float sum overflows: the midpoint is still finite
@@ -222,6 +229,12 @@ class TestMetricHistory:
             if not query:
                 continue
             assert len(history) == len(seen)
+            # extrapolate reads first, none last, so it sums at the scale it fits itself
+            for direction in (MIN, MAX):
+                for method in reversed(ExtrapolationMethod):
+                    assert extrapolate(history, direction, method, optimal) == float(
+                        exact_optimistic(seen, direction, method, optimal)
+                    )
             assert median(history) == float(exact_median(seen))
             assert trimmed_mean(history, trim) == float(exact_trimmed_mean(seen, trim))
             for direction in (MIN, MAX):

@@ -709,8 +709,9 @@ class TestLiveThresholdSteps:
 
     Every method is fed the same metrics in both directions. A lone trial
     never loses a rung, but each rung (at 1, 3 and 9 completed loops) reads
-    ``trimmed_mean``, so the history also tracks its sums; a window that opens
-    after a rung folds many pending values into them at once.
+    ``trimmed_mean``, so the history is also summed between threshold steps; a
+    window that opens after a rung folds many pending values in at once, after
+    a read.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -721,12 +722,12 @@ class TestLiveThresholdSteps:
         st.floats(min_value=-2.5, max_value=2.5),
         st.floats(min_value=-3.0, max_value=3.0),
     )
-    # one pending value per step while the split (and trimmed-mean) sums are tracked
+    # one pending value per step, with threshold steps and rung means reading in turn
     @example([0.3, 0.7, 0.5, 0.9, 0.2, 0.6, 0.4, 0.8, 0.35, 0.65], 2, 4, 0.55, 0.0)
-    # rungs at steps 2 and 6 track sums; the window opens at 12 and folds 6 values
+    # rungs at steps 2 and 6 read means; the window opens at 12: a bulk fold of 6 after a read
     @example([0.4, 0.9, 0.1, 0.7, 0.3, 0.8, 0.2, 0.6, 0.5, 0.45, 0.55, 0.35, 0.65, 0.3],
              2, 12, 0.5, 0.0)
-    # values finer than the scale arrive after sums exist: every sum is rescaled
+    # values finer than the scale arrive after reads that summed: each refits the scale
     @example([0.5, 1.0, 0.25, 2.0, 0.75, 5e-324, 0.5, -1e-310, 0.3, 0.1], 2, 4, 0.6, -1.0)
     # ties at the median
     @example([0.5, 0.5, 0.5, 0.4, 0.5, 0.6, 0.5, 0.5, 0.4, 0.6, 0.5], 3, 4, 0.5, 0.5)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import oracles
 import pytest
@@ -313,6 +314,30 @@ class TestRoundTrip:
             f"{t.trial_id}.csv" for t in cohort
         ]
         assert read_traces(target) == cohort
+
+    @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", "", ".", "..", "a\0b"])
+    def test_per_trial_refuses_an_id_that_is_not_a_file_name(self, tmp_path, bad_id):
+        cohort = generate_cohort(gen_config())
+        last = cohort[-1]
+        # the bad id comes last, after trials that would already have been written
+        cohort[-1] = TrialTrace(bad_id, last.shape, metrics=last.metrics, features=last.features)
+        with pytest.raises(ValueError, match=re.escape(f"trial id {bad_id!r}")):
+            write_traces(cohort, tmp_path / "traces", per_trial=True)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_per_trial_keeps_ids_that_are_plain_file_names(self, tmp_path):
+        template = generate_cohort(gen_config(trials=1))[0]
+        columns = dict(metrics=template.metrics, features=template.features)
+        cohort = [
+            TrialTrace(trial_id, template.shape, **columns)
+            for trial_id in ("..x", ".hidden", "run 1", "x..y")
+        ]
+        target = tmp_path / "traces"
+        write_traces(cohort, target, per_trial=True)
+        assert sorted(p.name for p in target.iterdir()) == sorted(
+            f"{t.trial_id}.csv" for t in cohort
+        )
+        assert read_traces(target) == sorted(cohort, key=lambda t: f"{t.trial_id}.csv")
 
     def test_writes_are_byte_identical(self, tmp_path):
         cohort = generate_cohort(gen_config())
