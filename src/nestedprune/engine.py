@@ -39,7 +39,7 @@ class CvShape:
         if self.outer_folds < 2 or self.inner_folds < 2:
             raise ValueError("outer_folds and inner_folds must both be >= 2")
 
-    @property
+    @cached_property
     def total_steps(self) -> int:
         return self.outer_folds * self.inner_folds
 
@@ -137,7 +137,7 @@ def run_trial(study: StudyState, trace: "TrialTrace") -> TrialOutcome:
     for (outer, inner), metric, count in columns:
         step = new_step(trial_id, outer, inner, metric, count)
         decision = combined_decide(study, trial_id, step)
-        if decision.pruned:
+        if decision.layer is not None:
             break
 
     state = study.trials[trace.trial_id]

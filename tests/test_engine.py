@@ -3,6 +3,8 @@
 import hashlib
 import math
 import random
+import sys
+import threading
 
 import oracles
 import pytest
@@ -21,6 +23,7 @@ from nestedprune import (
     TraceGenConfig,
     TrialStatus,
     TrialTrace,
+    combined_decide,
     full_objective,
     generate_cohort,
     run_study,
@@ -247,6 +250,90 @@ class TestWorkerCountChangesNothing:
                 ended = len(cohort) - 1
                 assert switches > ended if workers > 1 else switches == ended
         assert layers == {None, *PruneLayer}
+
+
+class TestLiveThreads:
+    """One thread per trial, every thread reporting its steps into one shared study.
+
+    The switch interval is cut to a microsecond so that threads interleave
+    inside ``combined_decide`` rather than run one after another.
+    """
+
+    SHAPE = CvShape(outer_folds=9, inner_folds=3)  # rungs at 1, 3 and 9 loops
+
+    def run_live(self, cohort, config):
+        study = StudyState(shape=self.SHAPE, config=config)
+        errors = []
+
+        def report(trial_id, steps):
+            try:
+                for step in steps:
+                    if combined_decide(study, trial_id, step).layer is not None:
+                        return
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=report, args=(trace.trial_id, trace.steps))
+            for trace in cohort
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert not study.lock.locked()
+        return study
+
+    def cohort(self, seed, direction):
+        return generate_cohort(TraceGenConfig(
+            trials=24, shape=self.SHAPE, seed=seed, direction=direction, zero_feature_prob=0.2
+        ))
+
+    def config(self, direction, **overrides):
+        return PrunerConfig(
+            direction=direction,
+            threshold=0.6 if direction is MIN else 0.5,
+            asha=AshaConfig(min_early_stopping_rate=0),
+            **overrides,
+        )
+
+    @pytest.mark.parametrize("direction", [MIN, Direction.MAXIMIZE], ids=["min", "max"])
+    def test_without_comparison_each_trial_ends_as_in_replay(self, direction):
+        layers = set()
+        for seed in range(3):
+            cohort = self.cohort(seed, direction)
+            config = self.config(direction, comparison_enabled=False)
+            expected = {
+                o.trial_id: (o.status, o.pruned_layer, o.models_trained)
+                for o in run_study(cohort, config).outcomes
+            }
+            study = self.run_live(cohort, config)
+            assert {
+                trial_id: (state.status, state.decision.layer, state.steps_observed)
+                for trial_id, state in study.trials.items()
+            } == expected
+            layers.update(layer for _, layer, _ in expected.values())
+        assert layers == {None, PruneLayer.SEMANTIC, PruneLayer.THRESHOLD}
+
+    @pytest.mark.parametrize("direction", [MIN, Direction.MAXIMIZE], ids=["min", "max"])
+    def test_with_comparison_rungs_stay_consistent(self, direction):
+        for seed in range(3):
+            cohort = self.cohort(seed, direction)
+            study = self.run_live(cohort, self.config(direction))
+            assert len(study.trials) == len(cohort)
+            assert all(state.status is not TrialStatus.RUNNING for state in study.trials.values())
+            for rung, resource in enumerate(sorted(study.rung_points)):
+                values = study.rungs.values_at(rung)
+                assert study.rungs.ranked(rung) == sorted(values.values())
+                for trial_id in values:
+                    assert study.trials[trial_id].steps_observed >= resource * 3
 
 
 class TestModelCountInvariants:

@@ -615,6 +615,60 @@ class TestCombinedDecide:
         assert first == second == study.shape.total_steps
 
 
+class TestStudyLock:
+    """``combined_decide`` gives ``study.lock`` back on every way out of a step."""
+
+    def test_released_after_a_continue(self):
+        study = make_study()
+        assert combined_decide(study, "t0", step(trial="t0")) == CONTINUE
+        assert not study.lock.locked()
+
+    def test_released_after_each_kind_of_prune(self):
+        study = make_study(threshold=0.3)
+        decision = combined_decide(study, "s", step(trial="s", features=0))
+        assert decision.layer is PruneLayer.SEMANTIC
+        assert not study.lock.locked()
+        assert feed_constant(study, "t", 0.9)[0].layer is PruneLayer.THRESHOLD
+        assert not study.lock.locked()
+        study = make_study(threshold=5.0)
+        feed_constant(study, "best", 0.1)
+        assert feed_constant(study, "worse", 0.5)[0].layer is PruneLayer.COMPARISON
+        assert not study.lock.locked()
+
+    def error_message(self, study, trial_id, new_step):
+        with pytest.raises(InvalidTrialStateError) as raised:
+            combined_decide(study, trial_id, new_step)
+        assert not study.lock.locked()
+        return str(raised.value)
+
+    def test_released_after_a_step_for_an_ended_trial(self):
+        study = make_study(threshold=0.3)
+        feed_constant(study, "pruned", 0.9)
+        assert self.error_message(study, "pruned", step(trial="pruned", outer=0, inner=5)) == (
+            "trial 'pruned' is pruned; it cannot accept steps"
+        )
+        feed_constant(study, "done", 0.1)
+        assert self.error_message(study, "done", step(trial="done", outer=30, inner=0)) == (
+            "trial 'done' is completed; it cannot accept steps"
+        )
+
+    def test_released_after_a_foreign_step(self):
+        assert self.error_message(make_study(), "t0", step(trial="other")) == (
+            "step for trial 'other' reported under 't0'"
+        )
+
+    def test_released_after_an_out_of_order_step(self):
+        study = make_study()
+        feed_constant(study, "t0", 0.1, limit=13)
+        assert self.error_message(study, "t0", step(trial="t0", outer=1, inner=4)) == (
+            "trial 't0': expected step (outer, inner)=(1, 3), got (1, 4)"
+        )
+        assert self.error_message(study, "t0", step(trial="t0", outer=0, inner=3)) == (
+            "trial 't0': expected step (outer, inner)=(1, 3), got (0, 3)"
+        )
+        assert combined_decide(study, "t0", step(trial="t0", outer=1, inner=3)) == CONTINUE
+
+
 class TestRungPoints:
     TABLE_ASHA = AshaConfig(min_resource=1, reduction_factor=3, min_early_stopping_rate=2)
 

@@ -325,6 +325,14 @@ class TestRoundTrip:
             write_traces(cohort, tmp_path / "traces", per_trial=True)
         assert list(tmp_path.iterdir()) == []
 
+    def test_per_trial_refuses_a_duplicate_id(self, tmp_path):
+        template = generate_cohort(gen_config(trials=1))[0]
+        columns = dict(metrics=template.metrics, features=template.features)
+        cohort = [TrialTrace("same", template.shape, **columns) for _ in range(2)]
+        with pytest.raises(ValueError, match=re.escape("duplicate trial id 'same'")):
+            write_traces(cohort, tmp_path / "traces", per_trial=True)
+        assert list(tmp_path.iterdir()) == []
+
     def test_per_trial_keeps_ids_that_are_plain_file_names(self, tmp_path):
         template = generate_cohort(gen_config(trials=1))[0]
         columns = dict(metrics=template.metrics, features=template.features)
