@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from enum import Enum
 from itertools import repeat
-from math import ldexp
+from math import frexp, inf, ldexp
 from typing import Iterable
 
 
@@ -43,7 +43,7 @@ class ExtrapolationMethod(Enum):
     MEAN_DEVIATION = "mean-dev"
 
 
-# members bound once: an Enum attribute lookup costs about as much as a scaled read
+# members bound once, so the paths a step takes do not look them up on their Enum
 _MINIMIZE = Direction.MINIMIZE
 _MEAN_DEVIATION = ExtrapolationMethod.MEAN_DEVIATION
 _MAX_DEVIATION = ExtrapolationMethod.MAX_DEVIATION
@@ -64,21 +64,27 @@ def _checked_optimal(optimal_value: float | None) -> float:
     return optimal_value
 
 
+def _central(count: int) -> tuple[int, int]:
+    """The slice of a sorted list of ``count`` values whose mean is its median."""
+    return (count - 1) // 2, count // 2 + 1
+
+
 class MetricHistory:
-    """A trial's metrics, kept sorted, summed exactly over the slice a statistic reads.
+    """A trial's metrics, kept sorted; every statistic is the exact mean of one slice.
 
     New metrics go to ``pending`` (``history.pending.append(value)``), so a
     step that reads no statistic costs one list append. Pending values are
     folded into the sorted list when a statistic is read: a lone value by one
-    ``insort``, several by one sort. A read that sums fits one power-of-two
-    scale ``2**bits`` to the values first (every float is a dyadic rational),
-    then sums the one slice it needs in exact integers at that scale. Each
-    mean therefore rounds once, from exact integers, and each threshold test
-    is exact. A threshold step that the central values settle on their own
-    (``estimate_is_worse``) reads no sum at all.
+    ``insort``, several by one sort. The history holds nothing else. A
+    statistic is the mean of one slice of the sorted list: the central pair
+    (or value) for the median, the untrimmed middle for a trimmed mean, the
+    values better than the median for mean-dev and the best value for
+    max-dev. ``_mean`` sums that slice exactly in integers, so each mean
+    rounds once and each threshold test is exact. A threshold step that the
+    central values settle on their own (``estimate_is_worse``) sums nothing.
     """
 
-    __slots__ = ("pending", "_sorted", "_bits")
+    __slots__ = ("pending", "_sorted")
 
     def __init__(self, values: Iterable[float] = ()) -> None:
         self.pending: list[float] = list(map(float, values))
@@ -86,7 +92,6 @@ class MetricHistory:
             bad = next(v for v in self.pending if not math.isfinite(v))
             raise ValueError(f"metric values must be finite, got {bad}")
         self._sorted: list[float] = []
-        self._bits = 0
 
     def __len__(self) -> int:
         return len(self._sorted) + len(self.pending)
@@ -105,106 +110,87 @@ class MetricHistory:
             raise ValueError("requires at least one metric value")
         return ordered
 
-    def _fit_scale(self) -> None:
-        """Refine the scale to cover the sorted values; every read that sums calls it first.
+    def _mean(self, start: int, stop: int) -> tuple[int, int]:
+        """The exact mean of the sorted values in ``[start, stop)``, as integers ``(n, d)``.
 
         A float of frexp exponent ``e`` is a multiple of ``2**(e - 53)``, and so
         is every float of larger magnitude, so the nonzero value nearest zero
-        sets a scale that covers them all.
+        sets a scale ``2**bits`` at which every value is whole (any scale
+        for all zeros); ``bits`` is kept at or above 0 so that the count can
+        carry it. Each value is scaled by ``ldexp``, exact unless it overflows
+        and a third of the cost of ``as_integer_ratio``, which covers the
+        overflow.
         """
         ordered = self._sorted
-        below, above = bisect_left(ordered, 0.0), bisect_right(ordered, 0.0)
-        nearest = ordered[below - 1 : below] + ordered[above : above + 1]
-        if nearest:
-            finest = min(map(abs, nearest))
-            self._bits = max(self._bits, min(1074, 53 - math.frexp(finest)[1]))
+        below = bisect_left(ordered, 0.0)
+        above = bisect_right(ordered, 0.0, below)
+        finest = min(
+            -ordered[below - 1] if below else inf,
+            ordered[above] if above < len(ordered) else inf,
+        )
+        bits = max(0, 53 - frexp(finest)[1])
+        values = ordered[start:stop]
+        try:
+            total = sum(map(int, map(ldexp, values, repeat(bits))))
+        except OverflowError:
+            ratios = (value.as_integer_ratio() for value in values)
+            total = sum(n << (bits + 1 - d.bit_length()) for n, d in ratios)
+        return total, (stop - start) << bits
 
-    def _scaled(self, value: float) -> int:
-        """``value * 2**bits`` exactly, for a value that is a multiple of ``2**-bits``.
+    def _optimistic(
+        self, direction: Direction, method: ExtrapolationMethod, optimal_value: float | None
+    ) -> tuple[int, int]:
+        """The optimistic value of ``method`` as an exact ratio ``(n, d)``, with nothing pending.
 
-        The product is whole, so ``ldexp`` is exact unless it overflows, and a
-        third of the cost of ``as_integer_ratio``, which covers the overflow.
+        ``optimal`` gives ``optimal_value``; every other method the mean of one
+        slice. Mean-dev reads the values strictly better than the median,
+        max-dev the best value; mean-dev reads the median's slice when no
+        value is better, as ``none`` always does. The values strictly below
+        (above) the median start (end) at the first (last) copy of the upper
+        (lower) middle value.
         """
-        try:
-            return int(ldexp(value, self._bits))
-        except OverflowError:
-            numerator, denominator = value.as_integer_ratio()
-            return numerator << (self._bits + 1 - denominator.bit_length())
-
-    def _sum(self, values: list[float]) -> int:
-        """Exact sum of ``values``, scaled by ``2**bits``."""
-        try:
-            # each scaled value is a whole number, so ldexp is exact or overflows
-            return sum(map(int, map(ldexp, values, repeat(self._bits))))
-        except OverflowError:
-            return sum(map(self._scaled, values))
+        if method is _OPTIMAL_METRIC:
+            return _checked_optimal(optimal_value).as_integer_ratio()
+        ordered = self._sorted
+        count = len(ordered)
+        start, stop = _central(count)
+        if method is _MAX_DEVIATION:
+            start, stop = (0, 1) if direction is _MINIMIZE else (count - 1, count)
+        elif method is _MEAN_DEVIATION:
+            if direction is _MINIMIZE:
+                below = bisect_left(ordered, ordered[count // 2])
+                if below:
+                    start, stop = 0, below
+            else:
+                above = bisect_right(ordered, ordered[(count - 1) // 2])
+                if above < count:
+                    start, stop = above, count
+        return self._mean(start, stop)
 
     def median(self) -> float:
-        ordered = self._ordered()
-        if len(ordered) % 2:
-            return ordered[len(ordered) // 2]
+        count = len(self._ordered())
+        if count % 2:
+            # the value itself, keeping its sign: a one-value sum would turn -0.0 into 0.0
+            return self._sorted[count // 2]
         # the exact midpoint rounded once: a central pair may sum past the float range
-        center2, _, _ = self._estimate(
-            ordered, _MINIMIZE, ExtrapolationMethod.NO_EXTRAPOLATION, None
-        )
-        return center2 / (2 << self._bits)
+        numerator, denominator = self._mean(*_central(count))
+        return numerator / denominator
 
     def trimmed_mean(self, trim_fraction: float) -> float:
-        ordered = self._ordered()
-        self._fit_scale()
-        count = len(ordered)
+        validate_trim_fraction(trim_fraction)
+        count = len(self._ordered())
         cut = math.floor(trim_fraction * count)
-        return self._sum(ordered[cut : count - cut]) / ((count - 2 * cut) << self._bits)
-
-    def _estimate(
-        self,
-        ordered: list[float],
-        direction: Direction,
-        method: ExtrapolationMethod,
-        optimal_value: float | None,
-    ) -> tuple[int, int, int]:
-        """Twice the median and the optimistic value of ``ordered``, exactly, in one pass.
-
-        ``ordered`` is the history as ``_ordered`` returns it, with nothing
-        pending. Returns ``(center2, numerator, denominator)``: the median is
-        ``center2 / (2 << bits)`` and the optimistic value
-        ``numerator / (denominator << bits)``. Mean-dev's value is the mean of
-        the values strictly better than the median, max-dev's the best value;
-        either is the median when no value is better. The values strictly
-        below (above) the median start (end) at the first (last) copy of the
-        upper (lower) middle value.
-        """
-        self._fit_scale()
-        count = len(ordered)
-        # the central pair: one value twice when the count is odd
-        lower, upper = ordered[(count - 1) // 2], ordered[count // 2]
-        center2 = self._scaled(lower) + self._scaled(upper)
-        minimize = direction is _MINIMIZE
-        if method is _MEAN_DEVIATION:
-            if minimize:
-                below = bisect_left(ordered, upper)
-                if below:
-                    return center2, self._sum(ordered[:below]), below
-            else:
-                above = bisect_right(ordered, lower)
-                if above < count:
-                    return center2, self._sum(ordered[above:]), count - above
-        elif method is _MAX_DEVIATION:
-            return center2, self._scaled(ordered[0] if minimize else ordered[-1]), 1
-        elif method is _OPTIMAL_METRIC:
-            numerator, denominator = _checked_optimal(optimal_value).as_integer_ratio()
-            return center2, numerator << self._bits, denominator
-        return center2, center2, 2
+        numerator, denominator = self._mean(cut, count - cut)
+        return numerator / denominator
 
     def extrapolate(
         self, direction: Direction, method: ExtrapolationMethod, optimal_value: float | None
     ) -> float:
         if method is ExtrapolationMethod.NO_EXTRAPOLATION:
             return self.median()
-        _, numerator, denominator = self._estimate(
-            self._ordered(), direction, method, optimal_value
-        )
-        return numerator / (denominator << self._bits)
+        self._ordered()
+        numerator, denominator = self._optimistic(direction, method, optimal_value)
+        return numerator / denominator
 
     def estimate_is_worse(
         self,
@@ -223,13 +209,10 @@ class MetricHistory:
         is no worse than the bound when the central value on the worse side is
         not; the optimistic value of ``none``, ``max-dev`` and ``mean-dev`` is
         never worse than the median, and that of ``optimal`` is
-        ``optimal_value``. Ties are not worse, as in the strict test below.
-
-        Every other step is decided in exact integers: with the median as
-        ``center2 / 2`` and the optimistic value as ``num / den``, both scaled,
-        compare ``center2*done*den + 2*num*missing`` with
-        ``2*bound*den*(done + missing)``.
+        ``optimal_value``. Ties are not worse, as in the exact pass.
         """
+        if steps_missing < 0:
+            raise ValueError("steps_missing must be >= 0")
         ordered = self._ordered()
         done = len(ordered)
         if direction is _MINIMIZE:
@@ -241,14 +224,28 @@ class MetricHistory:
             method is not _OPTIMAL_METRIC or _checked_optimal(optimal_value) >= bound
         ):
             return False
-        center2, numerator, denominator = self._estimate(
-            ordered, direction, method, optimal_value
-        )
+        return self._estimate(bound, steps_missing, direction, method, optimal_value)
+
+    def _estimate(
+        self,
+        bound: float,
+        steps_missing: int,
+        direction: Direction,
+        method: ExtrapolationMethod,
+        optimal_value: float | None,
+    ) -> bool:
+        """The exact pass of ``estimate_is_worse``, in integers, with nothing pending.
+
+        With the median as ``m / mc`` and the optimistic value as ``o / oc``,
+        exact ratios of integers, compare ``m*oc*done + o*mc*missing`` with
+        ``bound*mc*oc*(done + missing)``.
+        """
+        done = len(self._sorted)
+        m, mc = self._mean(*_central(done))
+        o, oc = self._optimistic(direction, method, optimal_value)
         bound_numerator, bound_denominator = bound.as_integer_ratio()
-        estimate = (
-            center2 * done * denominator + 2 * numerator * steps_missing
-        ) * bound_denominator
-        limit = (2 * bound_numerator * denominator * (done + steps_missing)) << self._bits
+        estimate = (m * oc * done + o * mc * steps_missing) * bound_denominator
+        limit = bound_numerator * mc * oc * (done + steps_missing)
         return estimate > limit if direction is _MINIMIZE else estimate < limit
 
 
@@ -264,7 +261,6 @@ def trimmed_mean(values: Iterable[float], trim_fraction: float = 0.2) -> float:
     plain mean once the floor reaches zero. The exact mean is rounded once, so
     the result always lies within [min(values), max(values)].
     """
-    validate_trim_fraction(trim_fraction)
     return as_history(values).trimmed_mean(trim_fraction)
 
 

@@ -220,8 +220,6 @@ def threshold_decide(
     """
     if config.threshold is None:
         raise ValueError("threshold_decide requires a configured threshold")
-    if steps_missing < 0:
-        raise ValueError("steps_missing must be >= 0")
     history = as_history(observed)
     if history.estimate_is_worse(
         config.threshold,
@@ -300,14 +298,14 @@ class StudyState:
     threshold layer, and ``rung_points``, the completed-loop counts at which a
     rung is due (empty while the comparison layer is off). ``lock`` serves
     live callers that report from several threads; replay is sequential.
-    Any lock given must offer ``acquire()`` and ``release()``.
+    ``trials``, ``rungs`` and ``lock`` are made with the study and are its own.
     """
 
     shape: CvShape
     config: PrunerConfig
-    trials: dict[str, TrialRuntimeState] = field(default_factory=dict)
-    rungs: RungTable = field(default_factory=RungTable)
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    trials: dict[str, TrialRuntimeState] = field(default_factory=dict, init=False)
+    rungs: RungTable = field(default_factory=RungTable, init=False)
+    lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
     threshold_window: tuple[int, int] = field(init=False, repr=False)
     rung_points: frozenset[int] = field(init=False, repr=False)
 

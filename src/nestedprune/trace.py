@@ -232,19 +232,23 @@ def generate_cohort(config: TraceGenConfig) -> list[TrialTrace]:
 def write_traces(cohort: Sequence[TrialTrace], path, per_trial: bool = False) -> None:
     """Write a cohort as one combined CSV file, or one file per trial in a directory."""
     target = Path(path)
+    # refuse what read_traces would refuse, before anything is created; in the
+    # per-trial form each file is also named after its trial, so every id must
+    # name a file in target
+    seen: set[str] = set()
+    for trace in cohort:
+        trial_id = trace.trial_id
+        if per_trial and (
+            trial_id in ("", ".", "..")
+            or any(sep and sep in trial_id for sep in ("/", os.sep, os.altsep, "\0"))
+        ):
+            raise ValueError(f"trial id {trial_id!r} is not a plain file name")
+        if not trial_id:
+            raise ValueError("trial_id must be non-empty")
+        if trial_id in seen:
+            raise ValueError(f"duplicate trial id {trial_id!r} in cohort")
+        seen.add(trial_id)
     if per_trial:
-        # each file is named after its trial, so every id must name a file in
-        # target, and a file of its own
-        seen: set[str] = set()
-        for trace in cohort:
-            trial_id = trace.trial_id
-            if trial_id in ("", ".", "..") or any(
-                sep and sep in trial_id for sep in ("/", os.sep, os.altsep, "\0")
-            ):
-                raise ValueError(f"trial id {trial_id!r} is not a plain file name")
-            if trial_id in seen:
-                raise ValueError(f"duplicate trial id {trial_id!r} in cohort")
-            seen.add(trial_id)
         target.mkdir(parents=True, exist_ok=True)
         for trace in cohort:
             _write_file([trace], target / f"{trace.trial_id}.csv")

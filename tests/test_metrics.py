@@ -365,6 +365,47 @@ class TestNonFiniteInput:
             extrapolate([0.5, 0.6], MIN, ExtrapolationMethod.OPTIMAL_METRIC, optimal)
 
 
+class TestBadArguments:
+    """A history's own methods refuse what the module functions refuse, with the same message."""
+
+    @pytest.mark.parametrize("bad", [-0.1, 0.5, 0.6])
+    def test_trimmed_mean_refuses_a_trim_fraction_out_of_range(self, bad):
+        # the mean of 1..10 is 5.5; unchecked, -0.1 and 0.6 read 0.8333333333333334 and -0.0
+        with pytest.raises(ValueError, match=rf"^trim_fraction must be in \[0, 0\.5\), got {bad}$"):
+            MetricHistory(range(1, 11)).trimmed_mean(bad)
+
+    @pytest.mark.parametrize("method", list(ExtrapolationMethod))
+    def test_estimate_is_worse_refuses_negative_missing_steps(self, method):
+        # the median 0.35 is worse than 0.3: unchecked, this reaches the exact pass and prunes
+        history = MetricHistory([0.5, 0.2])
+        with pytest.raises(ValueError, match=r"^steps_missing must be >= 0$"):
+            history.estimate_is_worse(0.3, -5, MIN, method, 0.0)
+
+    def test_threshold_decide_refuses_negative_missing_steps(self):
+        config = PrunerConfig(direction=MIN, threshold=0.3)
+        with pytest.raises(ValueError, match=r"^steps_missing must be >= 0$"):
+            threshold_decide([0.5, 0.2], -1, config)
+
+
+class TestSignOfZero:
+    """Which statistics keep the sign of a zero: only those that return a value itself."""
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    def test_pinned(self, direction):
+        def read(values, method):
+            return repr(extrapolate(values, direction, method, 0.0))
+
+        # an odd-length median is the central value itself, and none extrapolates by it
+        assert repr(median([-0.0])) == "-0.0"
+        assert repr(median([-0.0] * 3)) == "-0.0"
+        assert read([-0.0], ExtrapolationMethod.NO_EXTRAPOLATION) == "-0.0"
+        # a mean is rounded from an exact integer sum, which has no negative zero
+        assert repr(median([-0.0, -0.0])) == "0.0"
+        assert repr(trimmed_mean([-0.0], 0.2)) == "0.0"
+        assert read([-0.0], ExtrapolationMethod.MAX_DEVIATION) == "0.0"
+        assert read([-0.0], ExtrapolationMethod.MEAN_DEVIATION) == "0.0"
+
+
 class TestDirection:
     def test_is_worse(self):
         assert MIN.is_worse(0.6, 0.5)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 import time
 
 import pytest
@@ -613,6 +614,19 @@ class TestCombinedDecide:
         _, first = feed_constant(study, "a", 0.4)
         _, second = feed_constant(study, "b", 0.4)
         assert first == second == study.shape.total_steps
+
+
+class TestStudyStateFields:
+    """A study is made from a shape and a config only; its trials, rungs and lock are its own."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("trials", {}), ("rungs", pruners.RungTable()), ("lock", threading.Lock())],
+    )
+    def test_refuses_the_state_fields(self, name, value):
+        shape = CvShape(outer_folds=30, inner_folds=10)
+        with pytest.raises(TypeError, match=name):
+            StudyState(shape=shape, config=config(), **{name: value})
 
 
 class TestStudyLock:

@@ -333,6 +333,27 @@ class TestRoundTrip:
             write_traces(cohort, tmp_path / "traces", per_trial=True)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [(["same", "same"], "duplicate trial id 'same' in cohort"),
+         (["t0", ""], "trial_id must be non-empty")],
+        ids=["duplicate", "empty"],
+    )
+    def test_combined_refuses_what_read_traces_refuses(self, tmp_path, ids, message):
+        template = generate_cohort(gen_config(trials=1))[0]
+        columns = dict(metrics=template.metrics, features=template.features)
+        cohort = [TrialTrace(trial_id, template.shape, **columns) for trial_id in ids]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_traces(cohort, tmp_path / "cohort.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_combined_keeps_ids_that_are_not_file_names(self, tmp_path):
+        template = generate_cohort(gen_config(trials=1))[0]
+        columns = dict(metrics=template.metrics, features=template.features)
+        cohort = [TrialTrace(trial_id, template.shape, **columns) for trial_id in ("a/b", "..")]
+        write_traces(cohort, tmp_path / "cohort.csv")
+        assert read_traces(tmp_path / "cohort.csv") == cohort
+
     def test_per_trial_keeps_ids_that_are_plain_file_names(self, tmp_path):
         template = generate_cohort(gen_config(trials=1))[0]
         columns = dict(metrics=template.metrics, features=template.features)
