@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
@@ -87,6 +87,9 @@ class AshaConfig:
     bootstrap_count: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if type(value := getattr(self, f.name)) is not int:
+                raise TypeError(f"{f.name} must be an int, got {value!r}")
         if self.min_resource < 1:
             raise ValueError("min_resource must be a positive integer")
         if self.reduction_factor < 2:
@@ -119,6 +122,9 @@ class PrunerConfig:
     comparison_enabled: bool = True
 
     def __post_init__(self) -> None:
+        for name, members in (("direction", Direction), ("extrapolation", ExtrapolationMethod)):
+            if not isinstance(value := getattr(self, name), members):
+                raise TypeError(f"{name} must be a member of {members.__name__}, got {value!r}")
         validate_trim_fraction(self.trim_fraction)
         if self.min_threshold_steps < 4:
             raise ValueError("min_threshold_steps must be at least 4 (a median needs data)")
@@ -142,9 +148,6 @@ class RungTable:
     def __init__(self) -> None:
         self._rungs: dict[int, dict[str, float]] = {}
         self._ranked: dict[int, list[float]] = {}
-
-    def has(self, rung: int, trial_id: str) -> bool:
-        return trial_id in self._rungs.get(rung, ())
 
     def record(self, rung: int, trial_id: str, value: float) -> int:
         """Record ``value`` at ``rung`` and return how many values the rung now holds."""
@@ -181,8 +184,6 @@ class RungTable:
 
 def semantic_decide(step: "StepRecord") -> Decision:
     """Prune immediately when the step's model selected no features at all."""
-    if step.selected_feature_count < 0:
-        raise ValueError("selected_feature_count must be >= 0")
     if step.selected_feature_count == 0:
         return Decision(PruneLayer.SEMANTIC)
     return CONTINUE
@@ -248,19 +249,16 @@ def asha_rung_resource(rung: int, config: AshaConfig) -> int:
     return resource
 
 
-def _rung_points(shape: "CvShape", config: PrunerConfig) -> frozenset[int]:
-    """Every rung resource a trial can reach on ``shape``'s grid, in completed loops.
+def _rung_points(shape: "CvShape", config: PrunerConfig) -> tuple[int, ...]:
+    """The completed-loop count at which each rung a trial can reach is due, in rung order.
 
-    Empty while the comparison layer is off.
+    Rung ``r`` is due at the ``r``-th count. Empty while the comparison layer is off.
     """
-    if not config.comparison_enabled:
-        return frozenset()
-    points = set()
-    rung = 0
-    while (resource := asha_rung_resource(rung, config.asha)) <= shape.outer_folds:
-        points.add(resource)
-        rung += 1
-    return frozenset(points)
+    points: list[int] = []
+    if config.comparison_enabled:
+        while (resource := asha_rung_resource(len(points), config.asha)) <= shape.outer_folds:
+            points.append(resource)
+    return tuple(points)
 
 
 class TrialStatus(Enum):
@@ -295,8 +293,9 @@ class StudyState:
     The fields cannot be reassigned, so ``shape`` and ``config`` are fixed for
     the study's life, and what follows from them alone is worked out once:
     ``threshold_window``, the ``(opens_at, closes_at)`` bounds of the
-    threshold layer, and ``rung_points``, the completed-loop counts at which a
-    rung is due (empty while the comparison layer is off). ``lock`` serves
+    threshold layer, and ``rung_points``, a tuple in rung order holding the
+    completed-loop count at which each reachable rung is due (rung ``r`` at
+    ``rung_points[r]``; empty while the comparison layer is off). ``lock`` serves
     live callers that report from several threads; replay is sequential.
     ``trials``, ``rungs`` and ``lock`` are made with the study and are its own.
     """
@@ -307,7 +306,7 @@ class StudyState:
     rungs: RungTable = field(default_factory=RungTable, init=False)
     lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
     threshold_window: tuple[int, int] = field(init=False, repr=False)
-    rung_points: frozenset[int] = field(init=False, repr=False)
+    rung_points: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "threshold_window", _threshold_window(self.shape, self.config))
@@ -317,30 +316,25 @@ class StudyState:
 def asha_record_and_decide(
     rungs: RungTable,
     trial_id: str,
-    resource: int,
+    rung: int,
     value: float,
     direction: Direction,
     config: AshaConfig,
 ) -> Decision:
-    """Record ``value`` at every rung newly reached and prune at the first losing rank.
+    """Record ``value`` once at ``rung`` and prune if it ranks below the rung's cutoff.
 
-    Rungs are visited in ascending order; ones the trial already sits on are
-    skipped, so between milestones this returns Continue without re-judging.
-    A rung holding fewer than ``bootstrap_count`` values never prunes; otherwise
-    the value is cut when it is worse than the rung's cutoff, so ties with the
-    cutoff survive. The decision uses only the values recorded at call time;
-    nothing waits for trials still running elsewhere.
+    The study calls this at the step where ``rung`` is due
+    (``study.rung_points[rung]``); a trial reaches its rungs one at a time, so
+    it has recorded at every lower rung already, and recording twice at one
+    rung is an error. A rung holding fewer than ``bootstrap_count`` values
+    never prunes; otherwise the value is cut when it is worse than the rung's
+    cutoff, so ties with the cutoff survive. The decision uses only the values
+    recorded at call time; nothing waits for trials still running elsewhere.
     """
-    rung = 0
-    while True:
-        if asha_rung_resource(rung, config) > resource:
-            return CONTINUE
-        if not rungs.has(rung, trial_id):
-            if rungs.record(rung, trial_id, value) >= config.bootstrap_count:
-                cutoff = rungs.cutoff(rung, direction, config.reduction_factor)
-                if direction.is_worse(value, cutoff):
-                    return Decision(PruneLayer.COMPARISON, reported_value=value)
-        rung += 1
+    if rungs.record(rung, trial_id, value) >= config.bootstrap_count:
+        if direction.is_worse(value, rungs.cutoff(rung, direction, config.reduction_factor)):
+            return Decision(PruneLayer.COMPARISON, reported_value=value)
+    return CONTINUE
 
 
 def reported_value_on_prune(observed: Iterable[float], trim_fraction: float = 0.2) -> float:
@@ -365,11 +359,12 @@ def combined_decide(study: StudyState, trial_id: str, new_step: "StepRecord") ->
     intermediate value is computed only there: per-step values are too
     volatile to rank trials by, and a trial advances one loop at a time and
     records once per rung, so no other step can record or prune. The window
-    bounds and the rung resources come from the study
-    (``study.threshold_window``, ``study.rung_points``). The first prune wins
-    and is recorded on the trial (``study.trials[trial_id].decision``, with
-    its ``status``); reporting further steps for a pruned or completed trial
-    is an error.
+    bounds and the rung schedule come from the study
+    (``study.threshold_window``, ``study.rung_points``); the rung recorded at
+    is the index of the completed-loop count in ``study.rung_points``. The
+    first prune wins and is recorded on the trial
+    (``study.trials[trial_id].decision``, with its ``status``); reporting
+    further steps for a pruned or completed trial is an error.
 
     Calls hold ``study.lock``, so live callers may report from several
     threads (one per trial) into one study; replay calls from one thread.
@@ -420,8 +415,9 @@ def combined_decide(study: StudyState, trial_id: str, new_step: "StepRecord") ->
                 decision = threshold_decide(state.history, -steps % inner, config)
         if decision.layer is None and into_loop == 0 and completed_loops in study.rung_points:
             value = trimmed_mean(state.history, config.trim_fraction)
+            rung = study.rung_points.index(completed_loops)
             decision = asha_record_and_decide(
-                study.rungs, trial_id, completed_loops, value, config.direction, config.asha
+                study.rungs, trial_id, rung, value, config.direction, config.asha
             )
 
         if decision.layer is not None:

@@ -58,6 +58,8 @@ class TraceGenConfig:
     symmetric_outliers: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.direction, Direction):
+            raise TypeError(f"direction must be a member of Direction, got {self.direction!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):

@@ -131,13 +131,29 @@ class TestConfigs:
         # fine once the layer is off
         PrunerConfig(direction=MIN, threshold_enabled=False)
 
+    def test_direction_spelling_refused(self):
+        # the layers test `direction is MINIMIZE`, so a spelling would read as maximise
+        with pytest.raises(TypeError, match="^direction must be a member of Direction"):
+            PrunerConfig(direction="minimize", threshold=0.5)
+
+    def test_extrapolation_spelling_refused(self):
+        # the threshold layer tests members, so a spelling would read as the median slice
+        with pytest.raises(TypeError, match="^extrapolation must be a member of ExtrapolationMethod"):
+            config(extrapolation="mean-dev")
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AshaConfig)])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3"], ids=["frac", "float", "bool", "str"])
+    def test_asha_fields_must_be_ints(self, name, value):
+        # a fractional min_resource puts rungs at loop counts no trial completes, and a
+        # fractional reduction_factor cannot index a rung's sorted values
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            AshaConfig(**{name: value})
+
 
 class TestRungTable:
     def test_record_and_lookup(self):
         rungs = RungTable()
         rungs.record(0, "a", 0.4)
-        assert rungs.has(0, "a")
-        assert not rungs.has(0, "b") and not rungs.has(1, "a")
         assert rungs.values_at(0) == {"a": 0.4}
         assert rungs.values_at(1) == {}
 
@@ -447,22 +463,17 @@ class TestRungSurvivors:
 
 
 class TestAshaRecordAndDecide:
-    CFG = AshaConfig()  # rung 0 at 9 completed loops, rung 1 at 27
-
-    def test_below_first_rung_records_nothing(self):
-        rungs = RungTable()
-        assert asha_record_and_decide(rungs, "a", 8, 0.4, MIN, self.CFG) == CONTINUE
-        assert rungs.values_at(0) == {}
+    CFG = AshaConfig()
 
     def test_sole_trial_survives(self):
         rungs = RungTable()
-        assert asha_record_and_decide(rungs, "a", 9, 0.4, MIN, self.CFG) == CONTINUE
+        assert asha_record_and_decide(rungs, "a", 0, 0.4, MIN, self.CFG) == CONTINUE
         assert rungs.values_at(0) == {"a": 0.4}
 
     def test_worse_arrival_pruned_with_value(self):
         rungs = RungTable()
-        asha_record_and_decide(rungs, "a", 9, 0.40, MIN, self.CFG)
-        decision = asha_record_and_decide(rungs, "b", 9, 0.50, MIN, self.CFG)
+        asha_record_and_decide(rungs, "a", 0, 0.40, MIN, self.CFG)
+        decision = asha_record_and_decide(rungs, "b", 0, 0.50, MIN, self.CFG)
         assert decision.layer is PruneLayer.COMPARISON
         assert decision.reported_value == 0.50
         assert rungs.values_at(0) == {"a": 0.40, "b": 0.50}
@@ -470,22 +481,24 @@ class TestAshaRecordAndDecide:
     def test_bootstrap_defers_judgement(self):
         cfg = AshaConfig(bootstrap_count=3)
         rungs = RungTable()
-        assert asha_record_and_decide(rungs, "a", 9, 0.40, MIN, cfg) == CONTINUE
-        assert asha_record_and_decide(rungs, "b", 9, 0.50, MIN, cfg) == CONTINUE
-        decision = asha_record_and_decide(rungs, "c", 9, 0.55, MIN, cfg)
+        assert asha_record_and_decide(rungs, "a", 0, 0.40, MIN, cfg) == CONTINUE
+        assert asha_record_and_decide(rungs, "b", 0, 0.50, MIN, cfg) == CONTINUE
+        decision = asha_record_and_decide(rungs, "c", 0, 0.55, MIN, cfg)
         assert decision.layer is PruneLayer.COMPARISON
 
-    def test_resource_jump_records_every_reached_rung(self):
+    def test_records_at_the_given_rung_only(self):
         rungs = RungTable()
-        assert asha_record_and_decide(rungs, "a", 27, 0.4, MIN, self.CFG) == CONTINUE
-        assert rungs.has(0, "a") and rungs.has(1, "a") and not rungs.has(2, "a")
+        assert asha_record_and_decide(rungs, "a", 1, 0.4, MIN, self.CFG) == CONTINUE
+        assert rungs.values_at(1) == {"a": 0.4}
+        assert rungs.values_at(0) == {}
 
-    def test_requery_between_rungs_is_quiet(self):
+    def test_second_record_at_one_rung_refused(self):
         rungs = RungTable()
-        asha_record_and_decide(rungs, "a", 9, 0.4, MIN, self.CFG)
-        asha_record_and_decide(rungs, "b", 9, 0.1, MIN, self.CFG)
-        # a is now below the cutoff but is not re-judged at a rung it sits on
-        assert asha_record_and_decide(rungs, "a", 10, 0.4, MIN, self.CFG) == CONTINUE
+        asha_record_and_decide(rungs, "a", 0, 0.4, MIN, self.CFG)
+        asha_record_and_decide(rungs, "b", 0, 0.1, MIN, self.CFG)
+        with pytest.raises(InvalidTrialStateError, match="already recorded at rung 0"):
+            asha_record_and_decide(rungs, "a", 0, 0.4, MIN, self.CFG)
+        assert rungs.values_at(0) == {"a": 0.4, "b": 0.1}
 
 
 class TestReportedValueOnPrune:
@@ -687,11 +700,29 @@ class TestRungPoints:
     TABLE_ASHA = AshaConfig(min_resource=1, reduction_factor=3, min_early_stopping_rate=2)
 
     def test_study_works_out_reachable_rungs(self):
-        assert make_study(asha=self.TABLE_ASHA).rung_points == {9, 27}
-        assert make_study(outer=8, asha=self.TABLE_ASHA).rung_points == frozenset()
-        assert make_study(asha=AshaConfig(min_early_stopping_rate=0)).rung_points == {1, 3, 9, 27}
+        assert make_study(asha=self.TABLE_ASHA).rung_points == (9, 27)
+        assert make_study(outer=8, asha=self.TABLE_ASHA).rung_points == ()
+        assert make_study(asha=AshaConfig(min_early_stopping_rate=0)).rung_points == (1, 3, 9, 27)
         off = make_study(asha=self.TABLE_ASHA, comparison_enabled=False)
-        assert off.rung_points == frozenset()
+        assert off.rung_points == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(
+            AshaConfig,
+            min_resource=st.integers(1, 6),
+            reduction_factor=st.integers(2, 6),
+            min_early_stopping_rate=st.integers(0, 5),
+            bootstrap_count=st.integers(0, 4),
+        ),
+        st.integers(2, 300),
+        st.integers(2, 6),
+    )
+    def test_schedule_is_every_reachable_rung_in_order(self, asha, outer, inner):
+        points = make_study(outer=outer, inner=inner, asha=asha).rung_points
+        assert points == tuple(asha_rung_resource(r, asha) for r in range(len(points)))
+        assert all(a < b for a, b in zip(points, points[1:]))
+        assert asha_rung_resource(len(points), asha) > outer
 
     def test_study_works_out_threshold_window(self):
         study = make_study()
@@ -703,7 +734,7 @@ class TestRungPoints:
         with pytest.raises(dataclasses.FrozenInstanceError):
             study.config = config(comparison_enabled=False)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            study.rung_points = frozenset()
+            study.rung_points = ()
 
     def test_intermediate_value_computed_only_at_rungs(self, monkeypatch):
         original = pruners.trimmed_mean

@@ -52,6 +52,12 @@ class TestTraceGenConfig:
         with pytest.raises(ValueError):
             gen_config(**kwargs)
 
+    def test_direction_spelling_refused(self):
+        # generation tests `direction is MINIMIZE`, so a spelling would read as
+        # maximise and leave negative metrics unclamped
+        with pytest.raises(TypeError, match="^direction must be a member of Direction"):
+            gen_config(direction="minimize")
+
 
 class TestTrialTraceInvariants:
     def test_wrong_length_rejected(self):
