@@ -14,13 +14,14 @@ import csv
 import io
 import json
 import statistics
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from types import NoneType, UnionType
-from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
+from types import NoneType
+from typing import get_args, get_origin, get_type_hints
 
 from .engine import TrialOutcome, full_objective, run_study
-from .errors import FormatError, not_utf8
+from .errors import FormatError, accepts, check_fields, not_utf8
 from .metrics import Direction
 from .pruners import PruneLayer, PrunerConfig, TrialStatus
 from .trace import TraceGenConfig, TrialTrace, generate_cohort, read_traces
@@ -98,6 +99,7 @@ class BenchConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.variants:
             raise ValueError("at least one pruner variant is required")
         if self.baseline not in self.variants:
@@ -293,8 +295,8 @@ def from_json(hint, value, where: str):
     """Rebuild a value of type ``hint`` from parsed JSON, checking its type.
 
     Dataclasses come from objects holding every field, ``tuple[X, ...]`` from
-    arrays, and ``null`` is accepted only for ``X | None``. An int is accepted
-    where a float is expected; a bool is never accepted as an int.
+    arrays, and any other value is checked by ``accepts``, the type rule of
+    the config constructors (so ``null`` is accepted only for ``X | None``).
     """
     if is_dataclass(hint):
         if not isinstance(value, dict):
@@ -311,13 +313,10 @@ def from_json(hint, value, where: str):
             raise FormatError(f"{where}: expected an array, got {type(value).__name__}")
         item = get_args(hint)[0]
         return tuple(from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
-    if get_origin(hint) is UnionType:
-        if value is None:
-            return None
-        (hint,) = [arg for arg in get_args(hint) if arg is not NoneType]
-    if type(value) is hint or (hint is float and type(value) is int):
+    if accepts(hint, value):
         return value
-    raise FormatError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
+    expected = " or ".join(arg.__name__ for arg in get_args(hint) or (hint,) if arg is not NoneType)
+    raise FormatError(f"{where}: expected {expected}, got {type(value).__name__}")
 
 
 def load_report(path) -> BenchReport:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import FormatError, InvalidTrialStateError
+from .errors import FormatError, InvalidTrialStateError, check_fields
 from .metrics import Direction, trimmed_mean
 from .pruners import (
     CONTINUE,
@@ -36,6 +36,7 @@ class CvShape:
     inner_folds: int
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.outer_folds < 2 or self.inner_folds < 2:
             raise ValueError("outer_folds and inner_folds must both be >= 2")
 

@@ -23,9 +23,6 @@ class Direction(Enum):
     MINIMIZE = "minimize"
     MAXIMIZE = "maximize"
 
-    def flipped(self) -> "Direction":
-        return Direction.MAXIMIZE if self is Direction.MINIMIZE else Direction.MINIMIZE
-
     def is_worse(self, a: float, b: float) -> bool:
         """True iff ``a`` is strictly worse than ``b``."""
         return a > b if self is Direction.MINIMIZE else a < b

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import threading
 from bisect import insort
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import InvalidTrialStateError
+from .errors import InvalidTrialStateError, check_fields
 from .metrics import (
     Direction,
     ExtrapolationMethod,
@@ -87,9 +87,7 @@ class AshaConfig:
     bootstrap_count: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if type(value := getattr(self, f.name)) is not int:
-                raise TypeError(f"{f.name} must be an int, got {value!r}")
+        check_fields(self)
         if self.min_resource < 1:
             raise ValueError("min_resource must be a positive integer")
         if self.reduction_factor < 2:
@@ -122,21 +120,14 @@ class PrunerConfig:
     comparison_enabled: bool = True
 
     def __post_init__(self) -> None:
-        for name, members in (("direction", Direction), ("extrapolation", ExtrapolationMethod)):
-            if not isinstance(value := getattr(self, name), members):
-                raise TypeError(f"{name} must be a member of {members.__name__}, got {value!r}")
+        check_fields(self)
         validate_trim_fraction(self.trim_fraction)
         if self.min_threshold_steps < 4:
             raise ValueError("min_threshold_steps must be at least 4 (a median needs data)")
         if not 0.0 < self.threshold_window_fraction <= 1.0:
             raise ValueError("threshold_window_fraction must be in (0, 1]")
-        if self.threshold_enabled:
-            if self.threshold is None:
-                raise ValueError("threshold is required while the threshold layer is enabled")
-            if not math.isfinite(self.threshold):
-                raise ValueError("threshold must be finite")
-        if not math.isfinite(self.optimal_value):
-            raise ValueError("optimal_value must be finite")
+        if self.threshold_enabled and self.threshold is None:
+            raise ValueError("threshold is required while the threshold layer is enabled")
 
 
 class RungTable:

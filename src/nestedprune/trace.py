@@ -18,14 +18,14 @@ import csv
 import math
 import os
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .engine import CvShape, StepRecord, _step_from_checked
-from .errors import TraceFormatError, not_utf8
+from .errors import TraceFormatError, check_fields, not_utf8
 from .metrics import Direction
 
 TRACE_HEADER = ("trial_id", "outer_fold", "inner_fold", "metric", "n_selected_features")
@@ -58,12 +58,7 @@ class TraceGenConfig:
     symmetric_outliers: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.direction, Direction):
-            raise TypeError(f"direction must be a member of Direction, got {self.direction!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_fields(self)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.base_min <= self.base_max:
@@ -237,9 +232,14 @@ def write_traces(cohort: Sequence[TrialTrace], path, per_trial: bool = False) ->
     # refuse what read_traces would refuse, before anything is created; in the
     # per-trial form each file is also named after its trial, so every id must
     # name a file in target
+    if not cohort:
+        raise ValueError("cohort must contain at least one trial")
     seen: set[str] = set()
     for trace in cohort:
         trial_id = trace.trial_id
+        if trace.shape != cohort[0].shape:
+            raise ValueError(f"trial {trial_id!r} shape {trace.shape} differs from "
+                             f"cohort shape {cohort[0].shape}")
         if per_trial and (
             trial_id in ("", ".", "..")
             or any(sep and sep in trial_id for sep in ("/", os.sep, os.altsep, "\0"))

@@ -189,9 +189,8 @@ class TestExtrapolate:
         st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
     )
     def test_negation_symmetry(self, values, method, direction, optimal):
-        mirrored = extrapolate(
-            [-v for v in values], direction.flipped(), method, optimal_value=-optimal
-        )
+        other = MAX if direction is MIN else MIN
+        mirrored = extrapolate([-v for v in values], other, method, optimal_value=-optimal)
         assert mirrored == -extrapolate(values, direction, method, optimal_value=optimal)
 
 
@@ -411,7 +410,3 @@ class TestDirection:
         assert MIN.is_worse(0.6, 0.5)
         assert not MIN.is_worse(0.5, 0.5)
         assert MAX.is_worse(0.4, 0.5)
-
-    def test_flipped(self):
-        assert MIN.flipped() is MAX
-        assert MAX.flipped() is MIN

@@ -353,6 +353,26 @@ class TestRoundTrip:
             write_traces(cohort, tmp_path / "cohort.csv")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("per_trial", [False, True], ids=["combined", "per-trial"])
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [((), "cohort must contain at least one trial"),
+         ((SHAPE, CvShape(4, 2)), "trial 't1' shape CvShape(outer_folds=4, inner_folds=2) "
+                                  "differs from cohort shape CvShape(outer_folds=3, inner_folds=2)")],
+        ids=["empty", "mixed-shapes"],
+    )
+    def test_refuses_a_cohort_read_traces_refuses(self, tmp_path, per_trial, shapes, message):
+        # read back, an empty cohort has no step rows or no files, and a second
+        # shape is a row count its cohort's shape does not allow
+        cohort = [
+            TrialTrace(f"t{index}", shape, metrics=[0.5] * shape.total_steps,
+                       features=[3] * shape.total_steps)
+            for index, shape in enumerate(shapes)
+        ]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_traces(cohort, tmp_path / "out", per_trial=per_trial)
+        assert list(tmp_path.iterdir()) == []
+
     def test_combined_keeps_ids_that_are_not_file_names(self, tmp_path):
         template = generate_cohort(gen_config(trials=1))[0]
         columns = dict(metrics=template.metrics, features=template.features)
