@@ -40,7 +40,6 @@ from .pruners import (
     Decision,
     PruneLayer,
     PrunerConfig,
-    RungTable,
     StudyState,
     TrialStatus,
     asha_record_and_decide,
@@ -69,7 +68,6 @@ __all__ = [
     "PruneLayer",
     "PrunerConfig",
     "RepStats",
-    "RungTable",
     "StepRecord",
     "StudyReport",
     "StudyState",

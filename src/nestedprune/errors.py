@@ -7,6 +7,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -56,11 +57,18 @@ class InvalidTrialStateError(RuntimeError):
 
 
 def accepts(hint, value) -> bool:
-    """An int fits a float, a bool only a bool, a class its instances, a generic anything."""
+    """An int fits a float, a bool only a bool, a class its instances.
+
+    ``Mapping[K, V]`` takes a mapping whose keys fit ``K`` and values fit ``V``.
+    """
     if isinstance(hint, UnionType):
         return any(accepts(arg, value) for arg in get_args(hint))
-    if not isinstance(hint, type) or get_origin(hint):  # Mapping[...]: its field checks itself
-        return True
+    # before any test of a class: on 3.10 a generic alias is also an instance of type
+    if get_origin(hint) is Mapping:
+        key, item = get_args(hint)
+        return isinstance(value, Mapping) and all(
+            accepts(key, k) and accepts(item, v) for k, v in value.items()
+        )
     if type(value) is bool:
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
@@ -69,6 +77,8 @@ def accepts(hint, value) -> bool:
 def _kind(hint) -> str:  # "an int", "a float or None", "a member of Direction"
     if isinstance(hint, UnionType):
         return " or ".join(map(_kind, get_args(hint)))
+    if get_origin(hint) is Mapping:
+        return "a mapping from {} to {}".format(*map(_kind, get_args(hint)))
     name = hint.__name__
     if issubclass(hint, Enum):
         return f"a member of {name}"

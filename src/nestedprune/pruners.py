@@ -130,47 +130,16 @@ class PrunerConfig:
             raise ValueError("threshold is required while the threshold layer is enabled")
 
 
-class RungTable:
-    """Intermediate values recorded per rung, keyed by trial id. Append-only.
+def rung_cutoff(ranked: list[float], direction: Direction, reduction_factor: int) -> float:
+    """Worst value of the ascending rung ``ranked`` within its best ``ceil(n / reduction_factor)``.
 
-    Each rung is also kept as a sorted list, so its cutoff is one index.
+    A value survives the rung unless it is worse than the cutoff, so ties
+    with the cutoff survive.
     """
-
-    def __init__(self) -> None:
-        self._rungs: dict[int, dict[str, float]] = {}
-        self._ranked: dict[int, list[float]] = {}
-
-    def record(self, rung: int, trial_id: str, value: float) -> int:
-        """Record ``value`` at ``rung`` and return how many values the rung now holds."""
-        bucket = self._rungs.setdefault(rung, {})
-        if trial_id in bucket:
-            raise InvalidTrialStateError(
-                f"trial {trial_id!r} is already recorded at rung {rung}"
-            )
-        bucket[trial_id] = value
-        ranked = self._ranked.setdefault(rung, [])
-        insort(ranked, value)
-        return len(ranked)
-
-    def values_at(self, rung: int) -> dict[str, float]:
-        """Snapshot of the rung's recorded values (insertion order)."""
-        return dict(self._rungs.get(rung, {}))
-
-    def ranked(self, rung: int) -> list[float]:
-        """Snapshot of the rung's recorded values in ascending order."""
-        return list(self._ranked.get(rung, ()))
-
-    def cutoff(self, rung: int, direction: Direction, reduction_factor: int) -> float:
-        """Worst value still ranking within the best ``ceil(n / reduction_factor)``.
-
-        A value survives the rung unless it is worse than the cutoff, so ties
-        with the cutoff survive.
-        """
-        ranked = self._ranked.get(rung)
-        if not ranked:
-            raise ValueError(f"rung {rung} holds no values")
-        keep = -(-len(ranked) // reduction_factor)
-        return ranked[keep - 1] if direction is Direction.MINIMIZE else ranked[-keep]
+    if not ranked:
+        raise ValueError("the rung holds no values")
+    keep = -(-len(ranked) // reduction_factor)
+    return ranked[keep - 1] if direction is Direction.MINIMIZE else ranked[-keep]
 
 
 def semantic_decide(step: "StepRecord") -> Decision:
@@ -286,15 +255,17 @@ class StudyState:
     ``threshold_window``, the ``(opens_at, closes_at)`` bounds of the
     threshold layer, and ``rung_points``, a tuple in rung order holding the
     completed-loop count at which each reachable rung is due (rung ``r`` at
-    ``rung_points[r]``; empty while the comparison layer is off). ``lock`` serves
-    live callers that report from several threads; replay is sequential.
-    ``trials``, ``rungs`` and ``lock`` are made with the study and are its own.
+    ``rung_points[r]``; empty while the comparison layer is off). ``rungs``
+    holds one list per entry of ``rung_points``: ``rungs[r]`` is every value
+    recorded at rung ``r``, in ascending order. ``lock`` serves live callers
+    that report from several threads; replay is sequential. ``trials``,
+    ``rungs`` and ``lock`` are made with the study and are its own.
     """
 
     shape: CvShape
     config: PrunerConfig
     trials: dict[str, TrialRuntimeState] = field(default_factory=dict, init=False)
-    rungs: RungTable = field(default_factory=RungTable, init=False)
+    rungs: tuple[list[float], ...] = field(init=False)
     lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
     threshold_window: tuple[int, int] = field(init=False, repr=False)
     rung_points: tuple[int, ...] = field(init=False, repr=False)
@@ -302,28 +273,23 @@ class StudyState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "threshold_window", _threshold_window(self.shape, self.config))
         object.__setattr__(self, "rung_points", _rung_points(self.shape, self.config))
+        object.__setattr__(self, "rungs", tuple([] for _ in self.rung_points))
 
 
 def asha_record_and_decide(
-    rungs: RungTable,
-    trial_id: str,
-    rung: int,
-    value: float,
-    direction: Direction,
-    config: AshaConfig,
+    ranked: list[float], value: float, direction: Direction, config: AshaConfig
 ) -> Decision:
-    """Record ``value`` once at ``rung`` and prune if it ranks below the rung's cutoff.
+    """Insert ``value`` into the ascending rung ``ranked``; prune it if worse than the cutoff.
 
-    The study calls this at the step where ``rung`` is due
-    (``study.rung_points[rung]``); a trial reaches its rungs one at a time, so
-    it has recorded at every lower rung already, and recording twice at one
-    rung is an error. A rung holding fewer than ``bootstrap_count`` values
-    never prunes; otherwise the value is cut when it is worse than the rung's
-    cutoff, so ties with the cutoff survive. The decision uses only the values
-    recorded at call time; nothing waits for trials still running elsewhere.
+    The study calls this once per trial and rung, at the step where the rung is
+    due, with ``study.rungs[r]``. A rung holding fewer than ``bootstrap_count``
+    values never prunes; otherwise the value is cut when it is worse than
+    ``rung_cutoff``, so ties with the cutoff survive. The decision uses only the
+    values recorded at call time; nothing waits for trials still running elsewhere.
     """
-    if rungs.record(rung, trial_id, value) >= config.bootstrap_count:
-        if direction.is_worse(value, rungs.cutoff(rung, direction, config.reduction_factor)):
+    insort(ranked, value)
+    if len(ranked) >= config.bootstrap_count:
+        if direction.is_worse(value, rung_cutoff(ranked, direction, config.reduction_factor)):
             return Decision(PruneLayer.COMPARISON, reported_value=value)
     return CONTINUE
 
@@ -348,14 +314,14 @@ def combined_decide(study: StudyState, trial_id: str, new_step: "StepRecord") ->
     comparison layer on the trial's intermediate value (the trimmed mean of
     every metric of its completed loops), all under ``study.config``. The
     intermediate value is computed only there: per-step values are too
-    volatile to rank trials by, and a trial advances one loop at a time and
-    records once per rung, so no other step can record or prune. The window
-    bounds and the rung schedule come from the study
-    (``study.threshold_window``, ``study.rung_points``); the rung recorded at
-    is the index of the completed-loop count in ``study.rung_points``. The
-    first prune wins and is recorded on the trial
-    (``study.trials[trial_id].decision``, with its ``status``); reporting
-    further steps for a pruned or completed trial is an error.
+    volatile to rank trials by. The window bounds and the rung schedule come
+    from the study (``study.threshold_window``, ``study.rung_points``); the
+    value goes into ``study.rungs[r]``, where ``r`` is the index of the
+    completed-loop count in ``study.rung_points``. The position check lets a
+    trial reach each step once, so it records once per rung. The first prune
+    wins and is recorded on the trial (``study.trials[trial_id].decision``,
+    with its ``status``); reporting further steps for a pruned or completed
+    trial is an error.
 
     Calls hold ``study.lock``, so live callers may report from several
     threads (one per trial) into one study; replay calls from one thread.
@@ -406,10 +372,8 @@ def combined_decide(study: StudyState, trial_id: str, new_step: "StepRecord") ->
                 decision = threshold_decide(state.history, -steps % inner, config)
         if decision.layer is None and into_loop == 0 and completed_loops in study.rung_points:
             value = trimmed_mean(state.history, config.trim_fraction)
-            rung = study.rung_points.index(completed_loops)
-            decision = asha_record_and_decide(
-                study.rungs, trial_id, rung, value, config.direction, config.asha
-            )
+            ranked = study.rungs[study.rung_points.index(completed_loops)]
+            decision = asha_record_and_decide(ranked, value, config.direction, config.asha)
 
         if decision.layer is not None:
             state.status = _PRUNED

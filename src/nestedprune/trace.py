@@ -80,7 +80,7 @@ class TrialTrace:
     ``metrics[i]`` and ``features[i]`` (the selected-feature count) belong to
     grid position ``shape.positions[i]``. The columns are checked once, in
     bulk, when the trace is made: one value per grid position, every metric
-    finite, every count >= 0. ``TrialTrace(trial_id, shape, steps)`` takes
+    finite, every count an int >= 0. ``TrialTrace(trial_id, shape, steps)`` takes
     ``StepRecord``s instead, checks their ids and positions, and derives the
     columns from them. ``steps`` gives the ``StepRecord``s back.
     """
@@ -127,6 +127,13 @@ class TrialTrace:
             position = self.shape.positions[self.metrics.index(bad)]
             raise TraceFormatError(
                 f"trial {self.trial_id!r}: metric at step {position} must be finite, got {bad}"
+            )
+        # exactly int, as the file's integer field reads back; a bool is refused too
+        if {*map(type, self.features)} != {int}:
+            index = next(i for i, count in enumerate(self.features) if type(count) is not int)
+            raise TraceFormatError(
+                f"trial {self.trial_id!r}: selected_feature_count at step "
+                f"{self.shape.positions[index]} must be an int, got {self.features[index]!r}"
             )
         if min(self.features) < 0:
             index = next(i for i, count in enumerate(self.features) if count < 0)

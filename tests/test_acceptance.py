@@ -25,11 +25,11 @@ from nestedprune import (
     ExtrapolationMethod,
     PruneLayer,
     PrunerConfig,
-    RungTable,
     StepRecord,
     TraceGenConfig,
     TrialStatus,
     TrialTrace,
+    asha_record_and_decide,
     compare_pruners,
     generate_cohort,
     median,
@@ -38,6 +38,7 @@ from nestedprune import (
     trimmed_mean,
 )
 from nestedprune.cli import main as cli_main
+from nestedprune.pruners import rung_cutoff
 
 MIN = Direction.MINIMIZE
 MAX = Direction.MAXIMIZE
@@ -193,10 +194,10 @@ def test_criterion_4_asha_rung_oracle():
             values[f"t{index}"] = value
         direction = rng.choice([MIN, MAX])
         factor = rng.randint(2, 5)
-        rung = RungTable()
-        for trial_id, value in values.items():
-            rung.record(0, trial_id, value)
-        cutoff = rung.cutoff(0, direction, factor)
+        ranked = []  # one rung, built as the study builds it
+        for value in values.values():
+            asha_record_and_decide(ranked, value, direction, AshaConfig(reduction_factor=factor))
+        cutoff = rung_cutoff(ranked, direction, factor)
         survivors = {tid for tid, v in values.items() if not direction.is_worse(v, cutoff)}
         if survivors != brute_rung_survivors(values, direction, factor):
             mismatches += 1

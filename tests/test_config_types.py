@@ -28,6 +28,7 @@ from nestedprune.errors import accepts
 
 MIN = Direction.MINIMIZE
 SHAPE = CvShape(outer_folds=6, inner_folds=4)
+PRUNER = PrunerConfig(direction=MIN, threshold=0.5)
 
 # the keyword arguments of one valid instance of each config
 VALID = {
@@ -36,14 +37,15 @@ VALID = {
     PrunerConfig: dict(direction=MIN, threshold=0.5),
     TraceGenConfig: dict(trials=2, shape=SHAPE, seed=1),
     BenchConfig: dict(
-        variants={"a": PrunerConfig(direction=MIN, threshold=0.5)},
+        variants={"a": PRUNER},
         baseline="a",
         source=TraceGenConfig(trials=2, shape=SHAPE, seed=1),
     ),
 }
 
 # values of a wrong type, by hint: a str, a float or a bool for an int, a
-# spelling for an enum, a dict for a nested config
+# spelling for an enum, a dict for a nested config, a wrong key or value or
+# no mapping at all for a mapping
 WRONG = {
     int: ["3", 1.5, 2.0, True],
     float: ["0.5", True],
@@ -55,9 +57,8 @@ WRONG = {
     CvShape: [{"outer_folds": 6, "inner_folds": 4}, (6, 4), "x"],
     AshaConfig: [{}, "x"],
     TraceGenConfig | str | Path: [3, {}, None],
+    Mapping[str, PrunerConfig]: [{"a": 3}, {1: PRUNER}, "a", [("a", PRUNER)]],
 }
-# hints that are not classes: such a field keeps its own check
-UNCHECKED = {Mapping[str, PrunerConfig]}
 
 FIELDS = [
     (cls, name, hint) for cls in VALID for name, hint in get_type_hints(cls).items()
@@ -75,7 +76,7 @@ def build(cls, **overrides):
 
 def test_every_field_has_wrong_values():
     # a field with a new kind of hint must say here what is wrong for it
-    assert {hint for _, _, hint in FIELDS} <= set(WRONG) | UNCHECKED
+    assert {hint for _, _, hint in FIELDS} <= set(WRONG)
 
 
 @pytest.mark.parametrize(
@@ -154,7 +155,9 @@ def test_refused_at_construction(cls, overrides, error, name):
         (float, None, False),
         (TraceGenConfig | str | Path, Path("t.csv"), True),
         (Direction, MIN, True),
-        (Mapping[str, PrunerConfig], 3, True),
+        (Mapping[str, PrunerConfig], {"a": PRUNER}, True),
+        (Mapping[str, PrunerConfig], {}, True),
+        (Mapping[str, PrunerConfig], 3, False),
     ],
 )
 def test_accepts(hint, value, expected):

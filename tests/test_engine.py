@@ -28,6 +28,7 @@ from nestedprune import (
     generate_cohort,
     run_study,
     run_trial,
+    trimmed_mean,
 )
 
 MIN = Direction.MINIMIZE
@@ -329,11 +330,20 @@ class TestLiveThreads:
             study = self.run_live(cohort, self.config(direction))
             assert len(study.trials) == len(cohort)
             assert all(state.status is not TrialStatus.RUNNING for state in study.trials.values())
-            for rung, resource in enumerate(sorted(study.rung_points)):
-                values = study.rungs.values_at(rung)
-                assert study.rungs.ranked(rung) == sorted(values.values())
-                for trial_id in values:
-                    assert study.trials[trial_id].steps_observed >= resource * 3
+            inner = self.SHAPE.inner_folds
+            for ranked, resource in zip(study.rungs, study.rung_points, strict=True):
+                due = resource * inner
+                # a trial recorded at the rung if it got past the step where the rung is
+                # due, or ended there by completing or by a comparison prune
+                expected = [
+                    trimmed_mean(trace.metrics[:due], study.config.trim_fraction)
+                    for trace in cohort
+                    if (state := study.trials[trace.trial_id]).steps_observed > due
+                    or state.steps_observed == due
+                    and (state.status is TrialStatus.COMPLETED
+                         or state.decision.layer is PruneLayer.COMPARISON)
+                ]
+                assert ranked == sorted(expected)
 
 
 class TestModelCountInvariants:

@@ -1,0 +1,56 @@
+"""The package as a whole: what importing it loads, and what re-importing it leaves alive.
+
+Each test runs a fresh interpreter, so the modules this test process has loaded
+already do not hide what the package itself loads.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# modules new after the import, by top-level name, that are neither the package
+# nor the standard library; what `site` loaded before the import is not counted
+STDLIB_ONLY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import nestedprune, nestedprune.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names)))
+"""
+
+# re-imports the package as perfbench/run.py does between rounds, builds a
+# config and a study each time, and counts the PrunerConfig classes still alive
+REIMPORTS = """
+import gc, importlib, sys
+sys.path.insert(0, sys.argv[1])
+for _ in range(10):
+    for name in [n for n in sys.modules if n.split(".")[0] == "nestedprune"]:
+        del sys.modules[name]
+    package = importlib.import_module("nestedprune")
+    config = package.PrunerConfig(direction=package.Direction.MINIMIZE, threshold=0.5)
+    package.BenchConfig({"a": config}, "a", "x.csv", repetitions=1)
+    package.StudyState(shape=package.CvShape(outer_folds=6, inner_folds=4), config=config)
+gc.collect()
+print(sum(isinstance(o, type) and o.__name__ == "PrunerConfig" for o in gc.get_objects()))
+"""
+
+
+def run_script(script: str) -> str:
+    done = subprocess.run(
+        [sys.executable, "-c", script, SRC],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout.strip()
+
+
+def test_runtime_is_stdlib_only():
+    assert run_script(STDLIB_ONLY) == "['nestedprune']"
+
+
+def test_reimports_keep_no_old_package_alive():
+    # a typing generic in a hint get_type_hints evaluates lands in typing's
+    # module-level cache, which then keeps each imported copy alive
+    assert run_script(REIMPORTS) == "1"

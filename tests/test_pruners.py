@@ -26,7 +26,6 @@ from nestedprune import (
     InvalidTrialStateError,
     PruneLayer,
     PrunerConfig,
-    RungTable,
     StepRecord,
     StudyState,
     asha_record_and_decide,
@@ -38,7 +37,7 @@ from nestedprune import (
     trimmed_mean,
 )
 from nestedprune import pruners
-from nestedprune.pruners import asha_rung_resource
+from nestedprune.pruners import asha_rung_resource, rung_cutoff
 
 MIN = Direction.MINIMIZE
 MAX = Direction.MAXIMIZE
@@ -55,13 +54,10 @@ def step(trial="t0", outer=0, inner=0, metric=0.5, features=10):
 
 
 def rung_survivors(values, direction, factor):
-    """Trial ids that survive one rung holding ``values``, read through a ``RungTable``."""
+    """Trial ids that survive one rung holding ``values``, read through ``rung_cutoff``."""
     if not values:
         return set()
-    table = RungTable()
-    for trial_id, value in values.items():
-        table.record(0, trial_id, value)
-    cutoff = table.cutoff(0, direction, factor)
+    cutoff = rung_cutoff(sorted(values.values()), direction, factor)
     return {tid for tid, v in values.items() if not direction.is_worse(v, cutoff)}
 
 
@@ -150,35 +146,12 @@ class TestConfigs:
             AshaConfig(**{name: value})
 
 
-class TestRungTable:
-    def test_record_and_lookup(self):
-        rungs = RungTable()
-        rungs.record(0, "a", 0.4)
-        assert rungs.values_at(0) == {"a": 0.4}
-        assert rungs.values_at(1) == {}
-
-    def test_duplicate_recording_rejected(self):
-        rungs = RungTable()
-        rungs.record(0, "a", 0.4)
-        with pytest.raises(InvalidTrialStateError):
-            rungs.record(0, "a", 0.5)
-
-    def test_snapshot_is_a_copy(self):
-        rungs = RungTable()
-        rungs.record(2, "a", 0.4)
-        snapshot = rungs.values_at(2)
-        snapshot["b"] = 1.0
-        assert rungs.values_at(2) == {"a": 0.4}
-
-    def test_record_returns_rung_size(self):
-        rungs = RungTable()
-        assert rungs.record(0, "a", 0.4) == 1
-        assert rungs.record(1, "a", 0.4) == 1
-        assert rungs.record(0, "b", 0.4) == 2
+class TestRungCutoff:
+    """A rung is a list ``asha_record_and_decide`` keeps ascending; ``rung_cutoff`` reads it."""
 
     def test_cutoff_of_empty_rung_rejected(self):
         with pytest.raises(ValueError):
-            RungTable().cutoff(0, MIN, 3)
+            rung_cutoff([], MIN, 3)
 
     @given(
         st.lists(
@@ -194,14 +167,17 @@ class TestRungTable:
         st.integers(min_value=2, max_value=6),
     )
     def test_sorted_view_and_cutoff_match_brute_force(self, records, factor):
-        rungs = RungTable()
-        for index, (rung, value) in enumerate(records):
-            rungs.record(rung, f"t{index}", value)
-            values = list(rungs.values_at(rung).values())
+        asha = AshaConfig(reduction_factor=factor)
+        rungs = ([], [], [])
+        recorded = ([], [], [])
+        for rung, value in records:
+            asha_record_and_decide(rungs[rung], value, MIN, asha)
+            recorded[rung].append(value)
+            values = recorded[rung]
             # repr tells -0.0 from 0.0: ties keep their recording order, as in sorted()
-            assert list(map(repr, rungs.ranked(rung))) == list(map(repr, sorted(values)))
+            assert list(map(repr, rungs[rung])) == list(map(repr, sorted(values)))
             for direction in (MIN, MAX):
-                assert rungs.cutoff(rung, direction, factor) == brute_rung_cutoff(
+                assert rung_cutoff(rungs[rung], direction, factor) == brute_rung_cutoff(
                     values, direction, factor
                 )
 
@@ -378,9 +354,9 @@ class TestIntermediateValue:
             trimmed_mean([], 0.2)
         study = make_study(asha=AshaConfig(min_early_stopping_rate=0), threshold_enabled=False)
         feed_constant(study, "t0", 0.4, limit=9)
-        assert study.rungs.values_at(0) == {}
+        assert study.rungs[0] == []
         feed_constant(study, "t1", 0.4, limit=10)
-        assert study.rungs.values_at(0) == {"t1": 0.4}
+        assert study.rungs[0] == [0.4]
 
     def test_constant_loop(self):
         assert trimmed_mean([0.4] * 10, 0.2) == pytest.approx(0.4)
@@ -393,7 +369,7 @@ class TestIntermediateValue:
         for index, metric in enumerate(metrics):
             outer, inner = divmod(index, 10)
             combined_decide(study, "t0", step(outer=outer, inner=inner, metric=metric))
-        assert study.rungs.values_at(0) == {"t0": trimmed_mean(metrics, 0.2)}
+        assert study.rungs[0] == [trimmed_mean(metrics, 0.2)]
 
 
 class TestAshaRungResource:
@@ -466,39 +442,25 @@ class TestAshaRecordAndDecide:
     CFG = AshaConfig()
 
     def test_sole_trial_survives(self):
-        rungs = RungTable()
-        assert asha_record_and_decide(rungs, "a", 0, 0.4, MIN, self.CFG) == CONTINUE
-        assert rungs.values_at(0) == {"a": 0.4}
+        ranked = []
+        assert asha_record_and_decide(ranked, 0.4, MIN, self.CFG) == CONTINUE
+        assert ranked == [0.4]
 
     def test_worse_arrival_pruned_with_value(self):
-        rungs = RungTable()
-        asha_record_and_decide(rungs, "a", 0, 0.40, MIN, self.CFG)
-        decision = asha_record_and_decide(rungs, "b", 0, 0.50, MIN, self.CFG)
+        ranked = []
+        asha_record_and_decide(ranked, 0.40, MIN, self.CFG)
+        decision = asha_record_and_decide(ranked, 0.50, MIN, self.CFG)
         assert decision.layer is PruneLayer.COMPARISON
         assert decision.reported_value == 0.50
-        assert rungs.values_at(0) == {"a": 0.40, "b": 0.50}
+        assert ranked == [0.40, 0.50]
 
     def test_bootstrap_defers_judgement(self):
         cfg = AshaConfig(bootstrap_count=3)
-        rungs = RungTable()
-        assert asha_record_and_decide(rungs, "a", 0, 0.40, MIN, cfg) == CONTINUE
-        assert asha_record_and_decide(rungs, "b", 0, 0.50, MIN, cfg) == CONTINUE
-        decision = asha_record_and_decide(rungs, "c", 0, 0.55, MIN, cfg)
+        ranked = []
+        assert asha_record_and_decide(ranked, 0.40, MIN, cfg) == CONTINUE
+        assert asha_record_and_decide(ranked, 0.50, MIN, cfg) == CONTINUE
+        decision = asha_record_and_decide(ranked, 0.55, MIN, cfg)
         assert decision.layer is PruneLayer.COMPARISON
-
-    def test_records_at_the_given_rung_only(self):
-        rungs = RungTable()
-        assert asha_record_and_decide(rungs, "a", 1, 0.4, MIN, self.CFG) == CONTINUE
-        assert rungs.values_at(1) == {"a": 0.4}
-        assert rungs.values_at(0) == {}
-
-    def test_second_record_at_one_rung_refused(self):
-        rungs = RungTable()
-        asha_record_and_decide(rungs, "a", 0, 0.4, MIN, self.CFG)
-        asha_record_and_decide(rungs, "b", 0, 0.1, MIN, self.CFG)
-        with pytest.raises(InvalidTrialStateError, match="already recorded at rung 0"):
-            asha_record_and_decide(rungs, "a", 0, 0.4, MIN, self.CFG)
-        assert rungs.values_at(0) == {"a": 0.4, "b": 0.1}
 
 
 class TestReportedValueOnPrune:
@@ -634,7 +596,7 @@ class TestStudyStateFields:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("trials", {}), ("rungs", pruners.RungTable()), ("lock", threading.Lock())],
+        [("trials", {}), ("rungs", ([],)), ("lock", threading.Lock())],
     )
     def test_refuses_the_state_fields(self, name, value):
         shape = CvShape(outer_folds=30, inner_folds=10)
@@ -751,7 +713,7 @@ class TestRungPoints:
         decision, consumed = feed_constant(study, "t0", 0.4)
         assert decision == CONTINUE and consumed == 300
         assert loops_at_call == [9, 27]
-        assert study.rungs.values_at(0) == study.rungs.values_at(1) == {"t0": 0.4}
+        assert study.rungs == ([0.4], [0.4])
 
 
 class TestDirectionSymmetry:

@@ -107,6 +107,16 @@ class TestTrialTraceColumns:
         with pytest.raises(TraceFormatError, match=r"step \(1, 1\) must be finite, got inf"):
             TrialTrace("t", SHAPE, **self.columns(metrics))
 
+    @pytest.mark.parametrize("count", [1.5, True, 2.0], ids=repr)
+    def test_count_that_is_not_an_int_names_its_step(self, count):
+        # once accepted and written; read_traces then refused the file's integer field
+        with pytest.raises(
+            TraceFormatError,
+            match=rf"^trial 't': selected_feature_count at step \(0, 0\) must be an int, "
+            rf"got {count!r}$",
+        ):
+            TrialTrace("t", CvShape(2, 2), metrics=[0.1] * 4, features=[count] * 4)
+
     def test_steps_and_columns_are_exclusive(self):
         steps = generate_cohort(gen_config(trials=1))[0].steps
         with pytest.raises(TypeError):
