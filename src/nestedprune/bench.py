@@ -15,7 +15,8 @@ import io
 import json
 import statistics
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 from types import NoneType
 from typing import get_args, get_origin, get_type_hints
@@ -292,50 +293,78 @@ def emit_report(report: BenchReport, format: str, path) -> None:
 
 
 def from_json(hint, value, where: str):
-    """Rebuild a value of type ``hint`` from parsed JSON, checking its type.
+    """Rebuild a value of type ``hint`` from parsed JSON found at key path ``where``.
 
-    Dataclasses come from objects holding every field, ``tuple[X, ...]`` from
-    arrays, and any other value is checked by ``accepts``, the type rule of
-    the config constructors (so ``null`` is accepted only for ``X | None``).
+    The one decoder of reports and variants files. A dataclass comes from an
+    object keyed by its init fields (an unknown key is refused, a missing one
+    takes its default), an enum from its value spelling, ``tuple[X, ...]`` from
+    an array; any other value is checked by ``accepts``, the constructors' type
+    rule. Every refusal, a constructor's ``ValueError`` too, is a ``FormatError``
+    leading with ``where``.
     """
+    at = f"{where}: " if where else ""
     if is_dataclass(hint):
         if not isinstance(value, dict):
-            raise FormatError(f"{where}: expected an object, got {type(value).__name__}")
+            raise FormatError(f"{at}expected an object, got {type(value).__name__}")
+        hints = get_type_hints(hint)
+        unknown = sorted(value.keys() - hints.keys())
+        if unknown:
+            raise FormatError(f"{at}unknown key {unknown[0]!r}")
         prefix = f"{where}." if where else ""
         kwargs = {}
-        for name, field_hint in get_type_hints(hint).items():
-            if name not in value:
-                raise FormatError(f"missing field {prefix}{name}")
-            kwargs[name] = from_json(field_hint, value[name], prefix + name)
-        return hint(**kwargs)
+        for f in fields(hint):
+            if f.name in value:
+                kwargs[f.name] = from_json(hints[f.name], value[f.name], prefix + f.name)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise FormatError(f"missing field {prefix}{f.name}")
+        try:
+            return hint(**kwargs)
+        except ValueError as exc:
+            raise FormatError(f"{at}{exc}") from None
     if get_origin(hint) is tuple:
         if not isinstance(value, list):
-            raise FormatError(f"{where}: expected an array, got {type(value).__name__}")
+            raise FormatError(f"{at}expected an array, got {type(value).__name__}")
         item = get_args(hint)[0]
         return tuple(from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    # after the tuple test: on 3.10 a generic alias is also an instance of type
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        spellings = [member.value for member in hint]
+        if value not in spellings:
+            raise FormatError(f"{at}expected one of {spellings}, got {value!r}")
+        return hint(value)
     if accepts(hint, value):
         return value
     expected = " or ".join(arg.__name__ for arg in get_args(hint) or (hint,) if arg is not NoneType)
-    raise FormatError(f"{where}: expected {expected}, got {type(value).__name__}")
+    raise FormatError(f"{at}expected {expected}, got {type(value).__name__}")
+
+
+def read_json(path):
+    """Parse a JSON file; a failure is a ``FormatError`` naming it and, if it can, the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(exc.msg, path=path, line=exc.lineno) from None
+    except RecursionError:
+        raise FormatError("arrays or objects nested too deeply", path=path) from None
+    except OSError as exc:
+        raise FormatError(f"cannot read: {exc.strerror or exc}", path=path) from None
 
 
 def load_report(path) -> BenchReport:
     """Parse a JSON report back into a structurally equal ``BenchReport``.
 
-    Raises ``FormatError`` naming the field path (e.g.
-    ``variants[0].per_rep[3].rep``) when a field is missing or mistyped.
+    Every field is required and no other key is allowed but the legacy top-level
+    ``workers``; a refusal is a ``FormatError`` naming the file and the key path.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path) from exc
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read report {path}: {exc}") from exc
+    data = read_json(path)
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != REPORT_SCHEMA:
         raise FormatError(f"report {path}: unsupported report schema {schema!r}")
+    body = {key: value for key, value in data.items() if key not in ("schema", "workers")}
     try:
-        return from_json(BenchReport, data, "")
+        return from_json(BenchReport, body, "")
     except FormatError as exc:
         raise FormatError(f"malformed report {path}: {exc}") from None

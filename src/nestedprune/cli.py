@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-from enum import Enum
 from typing import get_type_hints
 
-from .bench import BenchConfig, compare_pruners, emit_report, from_json, load_report
+from .bench import BenchConfig, compare_pruners, emit_report, from_json, load_report, read_json
 from .engine import CvShape, StudyReport, run_study
-from .errors import FormatError, not_utf8
+from .errors import FormatError
 from .metrics import Direction, ExtrapolationMethod
 from .pruners import AshaConfig, PrunerConfig
 from .trace import TraceGenConfig, generate_cohort, read_traces, write_traces
@@ -224,52 +222,24 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _config_from_json(cls, data, where: str, **defaults):
-    """Build config dataclass ``cls`` from a JSON object keyed by its field names.
-
-    Enum fields take their value spellings, a nested config is an object, and
-    other values are type-checked as the report loader checks them; a
-    mistyped value raises ``FormatError`` naming ``where`` and the key.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be an object")
-    hints = get_type_hints(cls)
-    unknown = sorted(set(data) - set(hints))
-    if unknown:
-        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
-    for key, value in data.items():
-        hint, at = hints[key], f"{where}: {key!r}"
-        if dataclasses.is_dataclass(hint):
-            value = _config_from_json(hint, value, at)
-        elif isinstance(hint, type) and issubclass(hint, Enum):
-            spellings = [member.value for member in hint]
-            if value not in spellings:
-                raise FormatError(f"{at}: expected one of {spellings}, got {value!r}")
-            value = hint(value)
-        else:
-            value = from_json(hint, value, at)
-        defaults[key] = value
-    return cls(**defaults)
-
-
 def _load_variants(path: str, default_direction: Direction) -> dict[str, PrunerConfig]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot open variants file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path) from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"variants file {path}: line {exc.lineno}: {exc.msg}") from exc
+    """The pruner variants of a variants file, each decoded by ``from_json`` as a report is.
+
+    A variant without ``direction`` takes ``default_direction``. A refusal names
+    the file, the variant and the dotted key path.
+    """
+    data = read_json(path)
     if not isinstance(data, dict) or not data:
-        raise ValueError(f"variants file {path} must be a non-empty JSON object")
-    return {
-        name: _config_from_json(
-            PrunerConfig, variant, f"variants file: variant {name!r}", direction=default_direction
-        )
-        for name, variant in data.items()
-    }
+        raise FormatError(f"variants file {path} must be a non-empty JSON object")
+    variants = {}
+    for name, variant in data.items():
+        if isinstance(variant, dict):
+            variant = {"direction": default_direction.value, **variant}
+        try:
+            variants[name] = from_json(PrunerConfig, variant, "")
+        except FormatError as exc:
+            raise FormatError(f"variants file {path}: variant {name!r}: {exc}") from None
+    return variants
 
 
 def _cmd_bench(args) -> int:

@@ -155,12 +155,8 @@ def run_trial(study: StudyState, trace: "TrialTrace") -> TrialOutcome:
     )
 
 
-def run_study(cohort: Sequence["TrialTrace"], config: PrunerConfig) -> StudyReport:
-    """Run a cohort's trials one after another, in cohort order, against one study state.
-
-    No parallel schedule would decide otherwise: handing trials out in cohort
-    order, each advancing one model per turn, fills every rung in cohort order.
-    """
+def check_cohort(cohort: Sequence["TrialTrace"]) -> None:
+    """Raise ``FormatError`` unless the cohort is non-empty, of one shape and of distinct ids."""
     if not cohort:
         raise FormatError("cohort must contain at least one trial")
     seen: set[str] = set()
@@ -174,6 +170,14 @@ def run_study(cohort: Sequence["TrialTrace"], config: PrunerConfig) -> StudyRepo
                 f"{cohort[0].shape}"
             )
 
+
+def run_study(cohort: Sequence["TrialTrace"], config: PrunerConfig) -> StudyReport:
+    """Run a cohort's trials one after another, in cohort order, against one study state.
+
+    No parallel schedule would decide otherwise: handing trials out in cohort
+    order, each advancing one model per turn, fills every rung in cohort order.
+    """
+    check_cohort(cohort)
     study = StudyState(shape=cohort[0].shape, config=config)
     outcomes = [run_trial(study, trace) for trace in cohort]
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the one type rule of config fields.
 
 ``CvShape``, ``AshaConfig``, ``PrunerConfig``, ``TraceGenConfig`` and ``BenchConfig`` call
-``check_fields`` first thing, and ``bench.from_json`` checks each leaf value by ``accepts``.
+``check_fields`` first thing. ``bench.from_json``, the one decoder of reports and variants
+files, checks each leaf value by ``accepts`` and turns every refusal into a ``FormatError``.
 """
 
 from __future__ import annotations

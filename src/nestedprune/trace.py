@@ -24,8 +24,8 @@ from itertools import filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .engine import CvShape, StepRecord, _step_from_checked
-from .errors import TraceFormatError, check_fields, not_utf8
+from .engine import CvShape, StepRecord, _step_from_checked, check_cohort
+from .errors import FormatError, TraceFormatError, check_fields, not_utf8
 from .metrics import Direction
 
 TRACE_HEADER = ("trial_id", "outer_fold", "inner_fold", "metric", "n_selected_features")
@@ -239,24 +239,16 @@ def write_traces(cohort: Sequence[TrialTrace], path, per_trial: bool = False) ->
     # refuse what read_traces would refuse, before anything is created; in the
     # per-trial form each file is also named after its trial, so every id must
     # name a file in target
-    if not cohort:
-        raise ValueError("cohort must contain at least one trial")
-    seen: set[str] = set()
+    check_cohort(cohort)
     for trace in cohort:
         trial_id = trace.trial_id
-        if trace.shape != cohort[0].shape:
-            raise ValueError(f"trial {trial_id!r} shape {trace.shape} differs from "
-                             f"cohort shape {cohort[0].shape}")
         if per_trial and (
             trial_id in ("", ".", "..")
             or any(sep and sep in trial_id for sep in ("/", os.sep, os.altsep, "\0"))
         ):
-            raise ValueError(f"trial id {trial_id!r} is not a plain file name")
+            raise FormatError(f"trial id {trial_id!r} is not a plain file name")
         if not trial_id:
-            raise ValueError("trial_id must be non-empty")
-        if trial_id in seen:
-            raise ValueError(f"duplicate trial id {trial_id!r} in cohort")
-        seen.add(trial_id)
+            raise FormatError("trial_id must be non-empty")
     if per_trial:
         target.mkdir(parents=True, exist_ok=True)
         for trace in cohort:

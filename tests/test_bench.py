@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -231,6 +232,36 @@ class TestReportSerialization:
         path = tmp_path / "report.json"
         path.write_text(json.dumps({**data, "workers": 1}, indent=2), encoding="utf-8")
         assert load_report(path) == report
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda d: d["variants"][0]["per_rep"][0].update(bogus=1),
+             "variants[0].per_rep[0]: unknown key 'bogus'"),
+            (lambda d: d.update(bogus=1), "unknown key 'bogus'"),
+        ],
+        ids=["nested", "top-level"],
+    )
+    def test_unknown_report_key_rejected(self, report, tmp_path, edit, where):
+        data = json.loads(report_to_json(report))
+        edit(data)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(FormatError) as caught:
+            load_report(path)
+        assert str(caught.value) == f"malformed report {path}: {where}"
+
+    def test_report_syntax_error_names_file_and_line(self, report, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"schema":\n "nestedprune-bench-report/v1",\n ]}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 3: "):
+            load_report(path)
+
+    def test_deeply_nested_report_names_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*nested too deeply"):
+            load_report(path)
 
     def test_emissions_are_byte_identical(self, report, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

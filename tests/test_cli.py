@@ -14,6 +14,11 @@ VARIANTS = {
     "three-layer": {"threshold": 0.45, "extrapolation": "mean-dev"},
 }
 
+# the criterion-1 cohort's report and its CSV form; also pinned by the
+# determinism job of .github/workflows/tests.yml, which writes VARIANTS
+TRACES_REPORT_JSON_SHA256 = "e201bb8b0c3478f9cca2b33000edd471b3916f91c7c9b43b2e1968333bc0ed0a"
+TRACES_REPORT_CSV_SHA256 = "6baa6f23833cfdec3e222165da119d4948f6d3b75dadf44b5a94adaeef08c1b1"
+
 
 def write_variants(tmp_path, data=None, name="variants.json"):
     path = tmp_path / name
@@ -244,12 +249,8 @@ class TestBench:
                      "--out", str(report_json)]) == 0
         assert main(["report", "--in", str(report_json), "--format", "csv",
                      "--out", str(report_csv)]) == 0
-        assert hashlib.sha256(report_json.read_bytes()).hexdigest() == (
-            "e201bb8b0c3478f9cca2b33000edd471b3916f91c7c9b43b2e1968333bc0ed0a"
-        )
-        assert hashlib.sha256(report_csv.read_bytes()).hexdigest() == (
-            "6baa6f23833cfdec3e222165da119d4948f6d3b75dadf44b5a94adaeef08c1b1"
-        )
+        assert hashlib.sha256(report_json.read_bytes()).hexdigest() == TRACES_REPORT_JSON_SHA256
+        assert hashlib.sha256(report_csv.read_bytes()).hexdigest() == TRACES_REPORT_CSV_SHA256
 
     @pytest.mark.parametrize("flag", [
         "--trials", "--outer", "--inner", "--base-seed", "--noise-sd", "--outlier-prob",
@@ -276,11 +277,11 @@ class TestBench:
     @pytest.mark.parametrize(
         "variant, expected",
         [
-            ({"threshold": "0.4"}, "'threshold': expected float, got str"),
+            ({"threshold": "0.4"}, "variant 'v': threshold: expected float, got str"),
             ({"threshold": 0.4, "min_threshold_steps": 4.5},
-             "'min_threshold_steps': expected int, got float"),
+             "variant 'v': min_threshold_steps: expected int, got float"),
             ({"threshold": 0.4, "asha": {"reduction_factor": True}},
-             "'reduction_factor': expected int, got bool"),
+             "variant 'v': asha.reduction_factor: expected int, got bool"),
         ],
         ids=["string-threshold", "float-min-threshold-steps", "bool-reduction-factor"],
     )
@@ -292,6 +293,36 @@ class TestBench:
         err = capsys.readouterr().err
         assert "variant 'v'" in err and expected in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "variant, expected",
+        [
+            ({"asha": {"min_resource": 0}},
+             "variant 'v': asha: min_resource must be a positive integer"),
+            ({}, "variant 'v': threshold is required while the threshold layer is enabled"),
+            ({"threshold": 0.4, "trim_fraction": 0.6},
+             "variant 'v': trim_fraction must be in [0, 0.5), got 0.6"),
+        ],
+        ids=["nested-min-resource", "no-threshold", "trim-fraction"],
+    )
+    def test_refused_variant_names_file_variant_and_key(self, variant, expected, tmp_path,
+                                                        capsys):
+        path = write_variants(tmp_path, {"v": variant})
+        args = ["bench", "--outer", "4", "--inner", "2", "--trials", "2", "--reps", "1",
+                "--variants", path, "--baseline", "v", "--out", str(tmp_path / "r.json")]
+        assert main(args) == 1
+        assert f"error: variants file {path}: {expected}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_variants_syntax_error_names_file_and_line(self, tmp_path, capsys):
+        variants = tmp_path / "variants.json"
+        variants.write_text('{"asha": {"semantic_enabled": false},\n'
+                            ' "three-layer": {"threshold": 0.45,\n'
+                            ' ]}\n', encoding="utf-8")
+        args = ["bench", "--outer", "4", "--inner", "2", "--variants", str(variants),
+                "--baseline", "asha", "--out", str(tmp_path / "r.json")]
+        assert main(args) == 1
+        assert f"error: {variants}: line 3: " in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

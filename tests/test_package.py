@@ -21,20 +21,34 @@ loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(sorted(loaded - set(sys.stdlib_module_names)))
 """
 
-# re-imports the package as perfbench/run.py does between rounds, builds a
-# config and a study each time, and counts the PrunerConfig classes still alive
+# re-imports the package as perfbench/run.py does between rounds; each round
+# builds a config and a study, runs `bench` on a small generated cohort and
+# loads its report back, then the PrunerConfig and BenchReport classes still
+# alive are counted
 REIMPORTS = """
-import gc, importlib, sys
+import contextlib, gc, importlib, io, json, sys, tempfile
+from pathlib import Path
 sys.path.insert(0, sys.argv[1])
-for _ in range(10):
-    for name in [n for n in sys.modules if n.split(".")[0] == "nestedprune"]:
-        del sys.modules[name]
-    package = importlib.import_module("nestedprune")
-    config = package.PrunerConfig(direction=package.Direction.MINIMIZE, threshold=0.5)
-    package.BenchConfig({"a": config}, "a", "x.csv", repetitions=1)
-    package.StudyState(shape=package.CvShape(outer_folds=6, inner_folds=4), config=config)
+with tempfile.TemporaryDirectory() as tmp:
+    variants, report = Path(tmp, "variants.json"), Path(tmp, "report.json")
+    variants.write_text(json.dumps({"a": {"threshold": 0.5}}), encoding="utf-8")
+    for _ in range(10):
+        for name in [n for n in sys.modules if n.split(".")[0] == "nestedprune"]:
+            del sys.modules[name]
+        package = importlib.import_module("nestedprune")
+        config = package.PrunerConfig(direction=package.Direction.MINIMIZE, threshold=0.5)
+        package.BenchConfig({"a": config}, "a", "x.csv", repetitions=1)
+        package.StudyState(shape=package.CvShape(outer_folds=6, inner_folds=4), config=config)
+        cli = importlib.import_module("nestedprune.cli")
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(["bench", "--reps", "1", "--trials", "3", "--outer", "4",
+                               "--inner", "2", "--variants", str(variants),
+                               "--baseline", "a", "--out", str(report)])
+        assert status == 0
+        package.load_report(report)
 gc.collect()
-print(sum(isinstance(o, type) and o.__name__ == "PrunerConfig" for o in gc.get_objects()))
+live = [o.__name__ for o in gc.get_objects() if isinstance(o, type)]
+print(live.count("PrunerConfig"), live.count("BenchReport"))
 """
 
 
@@ -53,4 +67,4 @@ def test_runtime_is_stdlib_only():
 def test_reimports_keep_no_old_package_alive():
     # a typing generic in a hint get_type_hints evaluates lands in typing's
     # module-level cache, which then keeps each imported copy alive
-    assert run_script(REIMPORTS) == "1"
+    assert run_script(REIMPORTS) == "1 1"

@@ -29,6 +29,9 @@ from nestedprune.cli import main
 
 SHAPE = CvShape(outer_folds=3, inner_folds=2)
 
+# also pinned by the determinism job of .github/workflows/tests.yml
+CRITERION_1_COHORT_SHA256 = "d53718ded9a0a2620e3f2d4207e0a59302b0942a6c47775ca7f1697c209bdbd7"
+
 
 def gen_config(**overrides):
     base = dict(trials=4, shape=SHAPE, seed=7)
@@ -215,9 +218,7 @@ class TestPinnedBytes:
         out = tmp_path / "cohort.csv"
         args = ["gen", "--trials", "40", "--outer", "30", "--inner", "10", "--seed", "42"]
         assert main(args + ["--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "d53718ded9a0a2620e3f2d4207e0a59302b0942a6c47775ca7f1697c209bdbd7"
-        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_1_COHORT_SHA256
 
     def test_maximize_symmetric_outliers_file(self, tmp_path):
         config = TraceGenConfig(

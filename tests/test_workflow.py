@@ -1,0 +1,37 @@
+"""The CI workflow pins the same bytes as the tier-1 tests.
+
+The workflow's determinism job cannot run offline, so a digest re-pinned in a
+test and not in the workflow (or the other way round) would otherwise go
+unseen. The workflow is read as text: no YAML parser is needed or installed.
+"""
+
+import json
+import re
+from pathlib import Path
+
+from test_cli import TRACES_REPORT_CSV_SHA256, TRACES_REPORT_JSON_SHA256, VARIANTS
+from test_trace import CRITERION_1_COHORT_SHA256
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def workflow_text() -> str:
+    return WORKFLOW.read_text(encoding="utf-8")
+
+
+def test_determinism_digests_match_the_tests():
+    block = re.search(r"sha256sum --check --strict - <<'EOF'\n(.*?)\n\s*EOF\n", workflow_text(),
+                      re.DOTALL)
+    assert block is not None
+    pinned = dict(reversed(line.split()) for line in block.group(1).splitlines())
+    assert pinned == {
+        "cohort.csv": CRITERION_1_COHORT_SHA256,
+        "report.json": TRACES_REPORT_JSON_SHA256,
+        "report.csv": TRACES_REPORT_CSV_SHA256,
+    }
+
+
+def test_determinism_variants_match_the_tests():
+    written = re.search(r"printf '%s' '([^']*)' \\\n\s*> \"\$out/variants.json\"", workflow_text())
+    assert written is not None
+    assert json.loads(written.group(1)) == VARIANTS
