@@ -40,6 +40,9 @@ class FalsePruneRecord:
     threshold: float
     margin: float
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class RepStats:
@@ -54,6 +57,9 @@ class RepStats:
     falsely_pruned: int
     max_margin: float | None
     best_preserved: bool
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,9 @@ class VariantReport:
     per_rep: tuple[RepStats, ...]
     false_prunes: tuple[FalsePruneRecord, ...]
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class BenchReport:
@@ -81,6 +90,9 @@ class BenchReport:
     outer_folds: int
     inner_folds: int
     variants: tuple[VariantReport, ...]
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(frozen=True)

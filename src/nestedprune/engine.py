@@ -60,15 +60,31 @@ class StepRecord:
     metric: float
     selected_feature_count: int
 
-    def __post_init__(self) -> None:
-        if self.outer_idx < 0 or self.inner_idx < 0:
+    # Written out (dataclass keeps a class's own __init__) to fill the slots
+    # through their descriptors, at less cost than the object.__setattr__ calls
+    # a generated one makes; tests hold its parameters to the fields.
+    def __init__(
+        self,
+        trial_id: str,
+        outer_idx: int,
+        inner_idx: int,
+        metric: float,
+        selected_feature_count: int,
+    ) -> None:
+        if outer_idx < 0 or inner_idx < 0:
             raise ValueError("fold indices must be >= 0")
-        if not math.isfinite(self.metric):
-            raise ValueError(f"metric must be finite, got {self.metric}")
-        if self.selected_feature_count < 0:
+        if not _isfinite(metric):
+            raise ValueError(f"metric must be finite, got {metric}")
+        if selected_feature_count < 0:
             raise ValueError("selected_feature_count must be >= 0")
+        _set_trial_id(self, trial_id)
+        _set_outer(self, outer_idx)
+        _set_inner(self, inner_idx)
+        _set_metric(self, metric)
+        _set_count(self, selected_feature_count)
 
 
+_isfinite = math.isfinite
 _new_step = object.__new__
 _set_trial_id, _set_outer, _set_inner, _set_metric, _set_count = (
     StepRecord.__dict__[name].__set__ for name in StepRecord.__slots__
@@ -78,7 +94,7 @@ _set_trial_id, _set_outer, _set_inner, _set_metric, _set_count = (
 def _step_from_checked(
     trial_id: str, outer: int, inner: int, metric: float, count: int
 ) -> StepRecord:
-    """A ``StepRecord`` from values already checked, without running ``__post_init__``.
+    """A ``StepRecord`` from values already checked, without running the constructor's checks.
 
     Only for values out of a ``TrialTrace``'s columns, which its own check has
     held to finite metrics and counts >= 0, at a position of

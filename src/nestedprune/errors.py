@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one type rule of config fields.
+"""Exception types shared across the package, and the one type rule of config and report fields.
 
-``CvShape``, ``AshaConfig``, ``PrunerConfig``, ``TraceGenConfig`` and ``BenchConfig`` call
-``check_fields`` first thing. ``bench.from_json``, the one decoder of reports and variants
-files, checks each leaf value by ``accepts`` and turns every refusal into a ``FormatError``.
+The configs (``CvShape``, ``AshaConfig``, ``PrunerConfig``, ``TraceGenConfig``,
+``BenchConfig``) and the report dataclasses of ``bench`` call ``check_fields`` first thing.
+``bench.from_json``, the one decoder of reports and variants files, checks each leaf value
+by ``accepts`` and turns every refusal into a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -60,16 +61,21 @@ class InvalidTrialStateError(RuntimeError):
 def accepts(hint, value) -> bool:
     """An int fits a float, a bool only a bool, a class its instances.
 
-    ``Mapping[K, V]`` takes a mapping whose keys fit ``K`` and values fit ``V``.
+    ``Mapping[K, V]`` takes a mapping whose keys fit ``K`` and values fit ``V``,
+    ``tuple[X, ...]`` a tuple whose items fit ``X``.
     """
     if isinstance(hint, UnionType):
         return any(accepts(arg, value) for arg in get_args(hint))
     # before any test of a class: on 3.10 a generic alias is also an instance of type
-    if get_origin(hint) is Mapping:
+    origin = get_origin(hint)
+    if origin is Mapping:
         key, item = get_args(hint)
         return isinstance(value, Mapping) and all(
             accepts(key, k) and accepts(item, v) for k, v in value.items()
         )
+    if origin is tuple:
+        item = get_args(hint)[0]
+        return isinstance(value, tuple) and all(accepts(item, v) for v in value)
     if type(value) is bool:
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
@@ -80,6 +86,8 @@ def _kind(hint) -> str:  # "an int", "a float or None", "a member of Direction"
         return " or ".join(map(_kind, get_args(hint)))
     if get_origin(hint) is Mapping:
         return "a mapping from {} to {}".format(*map(_kind, get_args(hint)))
+    if get_origin(hint) is tuple:
+        return f"a tuple, each item {_kind(get_args(hint)[0])}"
     name = hint.__name__
     if issubclass(hint, Enum):
         return f"a member of {name}"

@@ -29,6 +29,7 @@ from .errors import FormatError, TraceFormatError, check_fields, not_utf8
 from .metrics import Direction
 
 TRACE_HEADER = ("trial_id", "outer_fold", "inner_fold", "metric", "n_selected_features")
+_QUOTE_IF_HELD = frozenset(',"\r\n')  # a trial id holding one of these is written quoted
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,16 @@ class TrialTrace:
 
 
 def _check_steps(trial_id: str, shape: CvShape, steps: tuple[StepRecord, ...]) -> None:
+    """Check the steps' ids and positions column by column; find a failing step only to name it."""
     if len(steps) != shape.total_steps:
         raise TraceFormatError(
             f"trial {trial_id!r} has {len(steps)} steps, expected {shape.total_steps}"
         )
+    # comprehensions, not map(attrgetter(...)): they read the slots faster
+    if [step.trial_id for step in steps].count(trial_id) == len(steps) and [
+        (step.outer_idx, step.inner_idx) for step in steps
+    ] == list(shape.positions):
+        return
     for index, (step, expected) in enumerate(zip(steps, shape.positions)):
         if step.trial_id != trial_id:
             raise TraceFormatError(
@@ -258,17 +265,25 @@ def write_traces(cohort: Sequence[TrialTrace], path, per_trial: bool = False) ->
 
 
 def _write_file(traces: Iterable[TrialTrace], path: Path) -> None:
+    """Write the header, then each trial's rows as one string.
+
+    Only the id can need quoting, so it is quoted once per trial: wrapped in
+    ``"``, each inner ``"`` doubled, when it holds a ``,``, ``"``, ``\\r`` or ``\\n``.
+    The bytes are those of ``csv.writer(lineterminator="\\n")``, but for an id
+    holding a lone ``\\r``, which that writer leaves bare and its reader splits.
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
+        handle.write(",".join(TRACE_HEADER) + "\n")
         for trace in traces:
-            trial_id = trace.trial_id
-            writer.writerows(
-                (trial_id, outer, inner, format(metric, ".17g"), count)
+            cell = trace.trial_id
+            if not _QUOTE_IF_HELD.isdisjoint(cell):
+                cell = '"' + cell.replace('"', '""') + '"'
+            handle.write("".join([
+                f"{cell},{outer},{inner},{metric:.17g},{count}\n"
                 for (outer, inner), metric, count in zip(
                     trace.shape.positions, trace.metrics, trace.features
                 )
-            )
+            ]))
 
 
 def read_traces(path) -> list[TrialTrace]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -247,6 +248,29 @@ class TestReportSerialization:
         edit(data)
         path = tmp_path / "report.json"
         path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(FormatError) as caught:
+            load_report(path)
+        assert str(caught.value) == f"malformed report {path}: {where}"
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda d: d["variants"][0].update(models_trained_stddev=math.nan),
+             "variants[0]: models_trained_stddev must be finite, got nan"),
+            (lambda d: d["variants"][1].update(percent_models_saved_vs_baseline=math.inf),
+             "variants[1]: percent_models_saved_vs_baseline must be finite, got inf"),
+            (lambda d: d["variants"][1]["per_rep"][0].update(max_margin=-math.inf),
+             "variants[1].per_rep[0]: max_margin must be finite, got -inf"),
+        ],
+        ids=["NaN", "Infinity", "-Infinity"],
+    )
+    def test_non_finite_report_float_rejected(self, report, tmp_path, edit, where):
+        # Python's json reads NaN and Infinity, and report once wrote them back
+        data = json.loads(report_to_json(report))
+        edit(data)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
         with pytest.raises(FormatError) as caught:
             load_report(path)
         assert str(caught.value) == f"malformed report {path}: {where}"

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -366,6 +367,20 @@ class TestReport:
         assert main(["report", "--in", str(report_path), "--format", "csv",
                      "--out", str(tmp_path / "o.csv")]) == 1
         assert f"error: {report_path}: line 5: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_float_exits_one(self, report_path, tmp_path, capsys, token):
+        text = report_path.read_text(encoding="utf-8")
+        edited = re.sub(r'"models_trained_stddev": [^,]*,',
+                        f'"models_trained_stddev": {token},', text, count=1)
+        assert edited != text
+        report_path.write_text(edited, encoding="utf-8")
+        out = tmp_path / "copy.json"
+        assert main(["report", "--in", str(report_path), "--format", "json",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert (f"error: malformed report {report_path}: variants[0]: models_trained_stddev "
+                "must be finite") in capsys.readouterr().err
 
     def test_malformed_input_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,7 +1,8 @@
-"""The one type rule of the config fields, generated from their type hints.
+"""The one type rule of the config and report fields, generated from their type hints.
 
-Every field of the five configs is swapped, one at a time, for values of a
-wrong type; ``bench.from_json`` is held to the same rule through ``accepts``.
+Every field of the five configs and the four report dataclasses is swapped, one
+at a time, for values of a wrong type; ``bench.from_json`` is held to the same
+rule through ``accepts``.
 """
 
 import dataclasses
@@ -19,9 +20,12 @@ from nestedprune import (
     CvShape,
     Direction,
     ExtrapolationMethod,
+    FalsePruneRecord,
     FormatError,
     PrunerConfig,
+    RepStats,
     TraceGenConfig,
+    VariantReport,
 )
 from nestedprune.bench import from_json
 from nestedprune.errors import accepts
@@ -30,7 +34,19 @@ MIN = Direction.MINIMIZE
 SHAPE = CvShape(outer_folds=6, inner_folds=4)
 PRUNER = PrunerConfig(direction=MIN, threshold=0.5)
 
-# the keyword arguments of one valid instance of each config
+FALSE_PRUNE = FalsePruneRecord(rep=0, trial_id="t", full_objective=0.4, threshold=0.5,
+                               margin=0.1)
+REP = RepStats(rep=0, models_trained=10, semantic_prunes=0, threshold_prunes=1,
+               comparison_prunes=0, completed=1, falsely_pruned=1, max_margin=0.1,
+               best_preserved=True)
+VARIANT = VariantReport(
+    name="v", models_trained_total=10, models_trained_stddev=0.0, semantic_prunes=0,
+    threshold_prunes=1, comparison_prunes=0, completed=1, falsely_pruned_total=1,
+    best_preserved_all=True, percent_models_saved_vs_baseline=0.0, per_rep=(REP,),
+    false_prunes=(FALSE_PRUNE,),
+)
+
+# the keyword arguments of one valid instance of each config and report dataclass
 VALID = {
     CvShape: dict(outer_folds=6, inner_folds=4),
     AshaConfig: dict(),
@@ -41,6 +57,12 @@ VALID = {
         baseline="a",
         source=TraceGenConfig(trials=2, shape=SHAPE, seed=1),
     ),
+    FalsePruneRecord: dataclasses.asdict(FALSE_PRUNE),
+    RepStats: dataclasses.asdict(REP),
+    VariantReport: {field.name: getattr(VARIANT, field.name)
+                    for field in dataclasses.fields(VariantReport)},
+    BenchReport: dict(baseline="v", repetitions=1, trials_per_rep=2, direction="minimize",
+                      outer_folds=6, inner_folds=4, variants=(VARIANT,)),
 }
 
 # values of a wrong type, by hint: a str, a float or a bool for an int, a
@@ -58,6 +80,10 @@ WRONG = {
     AshaConfig: [{}, "x"],
     TraceGenConfig | str | Path: [3, {}, None],
     Mapping[str, PrunerConfig]: [{"a": 3}, {1: PRUNER}, "a", [("a", PRUNER)]],
+    # a list, as JSON spells an array; an item of the wrong class; one item bare
+    tuple[RepStats, ...]: [[REP], (REP, FALSE_PRUNE), REP],
+    tuple[FalsePruneRecord, ...]: [[FALSE_PRUNE], (REP,), FALSE_PRUNE],
+    tuple[VariantReport, ...]: [[VARIANT], (dataclasses.asdict(VARIANT),), None],
 }
 
 FIELDS = [
@@ -158,6 +184,11 @@ def test_refused_at_construction(cls, overrides, error, name):
         (Mapping[str, PrunerConfig], {"a": PRUNER}, True),
         (Mapping[str, PrunerConfig], {}, True),
         (Mapping[str, PrunerConfig], 3, False),
+        (tuple[int, ...], (1, 2), True),
+        (tuple[int, ...], (), True),
+        (tuple[int, ...], [1, 2], False),
+        (tuple[int, ...], (1, True), False),
+        (tuple[float | None, ...], (0.5, 1, None), True),
     ],
 )
 def test_accepts(hint, value, expected):

@@ -1,7 +1,11 @@
 """Unit tests for trial replay, study aggregation, and ground-truth objectives."""
 
+import copy
+import dataclasses
 import hashlib
+import inspect
 import math
+import pickle
 import random
 import sys
 import threading
@@ -92,6 +96,63 @@ class TestShapeAndSteps:
             StepRecord("t", -1, 0, 0.5, 5)
         with pytest.raises(ValueError):
             StepRecord("t", 0, 0, 0.5, -1)
+
+
+class TestStepRecordConstructor:
+    """The written-out ``StepRecord.__init__`` behaves as the generated one would."""
+
+    VALUES = ("trial_007", 2, 1, 0.25, 17)
+    NAMES = [field.name for field in dataclasses.fields(StepRecord)]
+
+    def test_signature_names_the_fields_in_order_without_defaults(self):
+        parameters = list(inspect.signature(StepRecord).parameters.values())
+        assert [p.name for p in parameters] == self.NAMES == [
+            "trial_id", "outer_idx", "inner_idx", "metric", "selected_feature_count"
+        ]
+        assert all(p.default is p.empty for p in parameters)
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
+
+    def test_keyword_construction(self):
+        step = StepRecord(**dict(zip(self.NAMES, self.VALUES)))
+        assert dataclasses.astuple(step) == self.VALUES
+
+    def test_replace_runs_the_checks(self):
+        step = StepRecord(*self.VALUES)
+        assert dataclasses.replace(step, metric=0.5) == StepRecord("trial_007", 2, 1, 0.5, 17)
+        with pytest.raises(ValueError, match="^metric must be finite, got nan$"):
+            dataclasses.replace(step, metric=math.nan)
+        with pytest.raises(ValueError, match="^fold indices must be >= 0$"):
+            dataclasses.replace(step, inner_idx=-1)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_every_field_is_frozen(self, name):
+        step = StepRecord(*self.VALUES)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(step, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(step, name)
+        assert dataclasses.astuple(step) == self.VALUES
+        assert not hasattr(step, "__dict__")
+
+    def test_repr_names_every_field(self):
+        assert repr(StepRecord(*self.VALUES)) == (
+            "StepRecord(trial_id='trial_007', outer_idx=2, inner_idx=1, metric=0.25, "
+            "selected_feature_count=17)"
+        )
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [*(lambda s, p=p: pickle.loads(pickle.dumps(s, protocol=p))
+           for p in range(pickle.HIGHEST_PROTOCOL + 1)), copy.deepcopy, copy.copy],
+        ids=[*(f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)), "deepcopy", "copy"],
+    )
+    def test_pickle_and_copy_round_trip(self, round_trip):
+        step = StepRecord(*self.VALUES)
+        again = round_trip(step)
+        assert type(again) is StepRecord
+        assert again == step and hash(again) == hash(step)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            again.metric = 0.5
 
 
 class TestRunTrial:

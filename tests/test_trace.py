@@ -1,7 +1,9 @@
 """Unit tests for synthetic generation and the trace CSV format."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import math
 import re
 
@@ -73,13 +75,26 @@ class TestTrialTraceInvariants:
     def test_out_of_order_steps_rejected(self):
         steps = [StepRecord("t", i // 2, i % 2, 0.5, 3) for i in range(6)]
         steps[2], steps[3] = steps[3], steps[2]
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(
+            TraceFormatError, match=r"^trial 't': step 2 is \(1, 1\), expected \(1, 0\)$"
+        ):
             TrialTrace(trial_id="t", shape=SHAPE, steps=tuple(steps))
 
     def test_foreign_step_id_rejected(self):
         steps = [StepRecord("t", i // 2, i % 2, 0.5, 3) for i in range(6)]
         steps[4] = StepRecord("other", 2, 0, 0.5, 3)
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(TraceFormatError, match="^step 4 of trial 't' carries id 'other'$"):
+            TrialTrace(trial_id="t", shape=SHAPE, steps=tuple(steps))
+
+    def test_first_failing_step_is_named(self):
+        # a later foreign id does not hide an earlier misplaced step, nor the other way round
+        steps = [StepRecord("t", i // 2, i % 2, 0.5, 3) for i in range(6)]
+        steps[1] = StepRecord("t", 0, 0, 0.5, 3)
+        steps[3] = StepRecord("other", 1, 1, 0.5, 3)
+        with pytest.raises(TraceFormatError, match=r"^trial 't': step 1 is \(0, 0\)"):
+            TrialTrace(trial_id="t", shape=SHAPE, steps=tuple(steps))
+        steps[1] = StepRecord("other", 0, 0, 0.5, 3)
+        with pytest.raises(TraceFormatError, match="^step 1 of trial 't' carries id 'other'$"):
             TrialTrace(trial_id="t", shape=SHAPE, steps=tuple(steps))
 
 
@@ -152,27 +167,34 @@ class TestStepObjects:
     """Generating and reading hold columns; only replay makes ``StepRecord``s.
 
     Replay builds them from the trace's checked columns with the private
-    ``_step_from_checked``, which runs no ``__post_init__``.
+    ``_step_from_checked``, which runs none of the checks of ``StepRecord(...)``.
     """
 
     @pytest.fixture()
     def made(self, monkeypatch):
         made = {"checked": [], "from_columns": []}
-        check, build = StepRecord.__post_init__, engine_module._step_from_checked
+        check, build = StepRecord.__init__, engine_module._step_from_checked
 
-        def counted_check(step):
+        def counted_check(step, *args, **kwargs):
             made["checked"].append(step)
-            check(step)
+            check(step, *args, **kwargs)
 
         def counted_build(*values):
             step = build(*values)
             made["from_columns"].append(step)
             return step
 
-        monkeypatch.setattr(StepRecord, "__post_init__", counted_check)
+        monkeypatch.setattr(StepRecord, "__init__", counted_check)
         monkeypatch.setattr(engine_module, "_step_from_checked", counted_build)
         monkeypatch.setattr(trace_module, "_step_from_checked", counted_build)
         return made
+
+    def test_fixture_counts_the_public_constructor(self, made):
+        step = StepRecord("t", 0, 1, 0.5, 3)
+        replaced = dataclasses.replace(step, metric=0.25)
+        assert made == {"checked": [step, replaced], "from_columns": []}
+        with pytest.raises(ValueError, match="metric must be finite"):
+            StepRecord("t", 0, 1, math.nan, 3)
 
     def test_generate_and_read_build_none(self, made, tmp_path):
         cohort = generate_cohort(gen_config(trials=5))
@@ -204,6 +226,7 @@ class TestStepObjects:
         assert type(built) is StepRecord
         assert built == public
         assert hash(built) == hash(public)
+        assert repr(built) == repr(public)
         assert dataclasses.astuple(built) == values
         with pytest.raises(dataclasses.FrozenInstanceError):
             built.metric = 0.5
@@ -404,6 +427,61 @@ class TestRoundTrip:
             f"{t.trial_id}.csv" for t in cohort
         )
         assert read_traces(target) == sorted(cohort, key=lambda t: f"{t.trial_id}.csv")
+
+    # ids the writer must quote (",", '"', "\n", "\r"), and two it must not
+    ODD_IDS = ("a,b", 'q"x', "l\nm", "c\rr", "x\r\ny", " sp ", "\u00fc")
+
+    @staticmethod
+    def with_ids(ids):
+        template = generate_cohort(gen_config(trials=1))[0]
+        columns = dict(metrics=template.metrics, features=template.features)
+        return [TrialTrace(trial_id, template.shape, **columns) for trial_id in ids]
+
+    def test_ids_that_need_quoting_round_trip(self, tmp_path):
+        # a lone "\r" was once written bare, and the file it made could not be read
+        cohort = self.with_ids(self.ODD_IDS)
+        path = tmp_path / "cohort.csv"
+        write_traces(cohort, path)
+        assert read_traces(path) == cohort
+        assert path.read_bytes().count(b'\n"c\rr",') == SHAPE.total_steps
+
+    @pytest.mark.parametrize(
+        "ids", [*([trial_id] for trial_id in ODD_IDS if "\r" not in trial_id),
+                [f"trial_{index:03d}" for index in range(4)]],
+        ids=repr,
+    )
+    def test_bytes_are_the_csv_writers(self, tmp_path, ids):
+        cohort = self.with_ids(ids)
+        path = tmp_path / "cohort.csv"
+        write_traces(cohort, path)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(trace_module.TRACE_HEADER)
+        for trace in cohort:
+            writer.writerows(
+                (trace.trial_id, outer, inner, format(metric, ".17g"), count)
+                for (outer, inner), metric, count in zip(
+                    trace.shape.positions, trace.metrics, trace.features
+                )
+            )
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_per_trial_files_join_to_the_combined_file(self, tmp_path):
+        cohort = generate_cohort(gen_config(trials=6))
+        for index, trial_id in enumerate(("a,b", 'q"x', " sp ", "\u00fc")):
+            trace = cohort[index]
+            cohort[index] = TrialTrace(
+                trial_id, trace.shape, metrics=trace.metrics, features=trace.features
+            )
+        write_traces(cohort, tmp_path / "cohort.csv")
+        write_traces(cohort, tmp_path / "traces", per_trial=True)
+        header = (",".join(trace_module.TRACE_HEADER) + "\n").encode("utf-8")
+        bodies = []
+        for trace in cohort:
+            data = (tmp_path / "traces" / f"{trace.trial_id}.csv").read_bytes()
+            assert data.startswith(header)
+            bodies.append(data[len(header):])
+        assert (tmp_path / "cohort.csv").read_bytes() == header + b"".join(bodies)
 
     def test_writes_are_byte_identical(self, tmp_path):
         cohort = generate_cohort(gen_config())

@@ -1,8 +1,9 @@
-"""The CI workflow pins the same bytes as the tier-1 tests.
+"""The CI workflow pins the same bytes as the tier-1 tests, and runs every benchmark workload.
 
 The workflow's determinism job cannot run offline, so a digest re-pinned in a
 test and not in the workflow (or the other way round) would otherwise go
-unseen. The workflow is read as text: no YAML parser is needed or installed.
+unseen, as would a workload of BENCHMARK.json that CI never runs. The workflow
+is read as text: no YAML parser is needed or installed.
 """
 
 import json
@@ -12,7 +13,8 @@ from pathlib import Path
 from test_cli import TRACES_REPORT_CSV_SHA256, TRACES_REPORT_JSON_SHA256, VARIANTS
 from test_trace import CRITERION_1_COHORT_SHA256
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def workflow_text() -> str:
@@ -35,3 +37,11 @@ def test_determinism_variants_match_the_tests():
     written = re.search(r"printf '%s' '([^']*)' \\\n\s*> \"\$out/variants.json\"", workflow_text())
     assert written is not None
     assert json.loads(written.group(1)) == VARIANTS
+
+
+def test_every_benchmark_workload_runs_once():
+    step = re.search(r"- name: Run each benchmark workload once.*?\n\s*for workload in "
+                     r"([^;\n]*); do", workflow_text(), re.DOTALL)
+    assert step is not None
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    assert step.group(1).split() == [workload["name"] for workload in declared]
