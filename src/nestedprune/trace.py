@@ -15,12 +15,14 @@ from their own training loop and feed the file to ``replay``/``bench``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,6 +32,11 @@ from .metrics import Direction
 
 TRACE_HEADER = ("trial_id", "outer_fold", "inner_fold", "metric", "n_selected_features")
 _QUOTE_IF_HELD = frozenset(',"\r\n')  # a trial id holding one of these is written quoted
+_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
+_BLOCK_CHARS = 16 * 1024  # characters read at a time; a block ends at the last line feed read
+_CSV_BLOCK_ROWS = 1024  # rows taken from the csv module at a time
+_ALL_BUT_SEPARATORS = dict.fromkeys(set(range(128)) - {ord(","), ord("\n")})
+_ROW_SEPARATORS = ",,,,\n"
 
 
 @dataclass(frozen=True)
@@ -287,7 +294,10 @@ def _write_file(traces: Iterable[TrialTrace], path: Path) -> None:
 
 
 def read_traces(path) -> list[TrialTrace]:
-    """Read a cohort from a combined trace file or a directory of per-trial files."""
+    """Read a cohort from a combined trace file or a directory of per-trial files.
+
+    A directory's ``*.csv`` files are read in sorted file-name order.
+    """
     source = Path(path)
     if source.is_dir():
         files = sorted(source.glob("*.csv"))
@@ -314,55 +324,34 @@ def read_traces(path) -> list[TrialTrace]:
 
 
 def _read_file(path: Path) -> list[TrialTrace]:
-    """Parse rows straight into columns, then cut them into trials.
+    """Parse blocks of rows into columns, then cut the columns into trials.
 
-    Each row gets one check; only a row that fails it is parsed again, by
-    ``_row_problem``, for the message. Errors in rows come before errors in
-    how trials are laid out, wherever in the file they are.
+    Plain blocks are split with ``str.split``; from the first block that is not
+    plain, or from line 1 if the header line is not exactly the header, the
+    ``csv`` module reads the rest. Either way each block is converted and
+    checked as columns, and only a block that fails is walked row by row for
+    the message. Errors in rows come before errors in how trials are laid
+    out, wherever in the file they are.
     """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise TraceFormatError(f"cannot open trace file: {exc}", path=path) from exc
-    isfinite = math.isfinite
-    metrics: list[float] = []
-    features: list[int] = []
-    outers: list[int] = []
-    inners: list[int] = []
-    trial_ids: list[str] = []  # one per block of contiguous rows
-    starts: list[int] = []
+    columns = _Columns(path)
     try:
         with handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(header) != TRACE_HEADER:
-                raise TraceFormatError(
-                    f"header must be {','.join(TRACE_HEADER)}", path=path, line=1
-                )
-            current = None
-            for row in reader:
-                try:
-                    trial_id, outer, inner, metric, count = row
-                    outer, inner, count, metric = int(outer), int(inner), int(count), float(metric)
-                    valid = (
-                        trial_id and outer >= 0 and inner >= 0 and count >= 0 and isfinite(metric)
-                    )
-                except ValueError:
-                    valid = False
-                if not valid:
-                    raise TraceFormatError(_row_problem(row), path=path, line=reader.line_num)
-                if trial_id != current:
-                    current = trial_id
-                    trial_ids.append(trial_id)
-                    starts.append(len(metrics))
-                metrics.append(metric)
-                features.append(count)
-                outers.append(outer)
-                inners.append(inner)
+            text = handle.read(_BLOCK_CHARS)
+            lines_before = 0
+            if text.startswith(_HEADER_LINE):
+                text = _split_plain_blocks(handle, text[len(_HEADER_LINE):], columns)
+                lines_before = 1 + len(columns.metrics)  # a plain row is one line
+            if text is not None:
+                _read_csv(handle, text, columns, lines_before)
     except UnicodeDecodeError as exc:
         raise not_utf8(path, TraceFormatError) from exc
-    except csv.Error as exc:  # a quoted field that runs past the field size limit
-        raise TraceFormatError(f"bad CSV: {exc}", path=path, line=reader.line_num) from exc
+    metrics, features = columns.metrics, columns.features
+    outers, inners = columns.outers, columns.inners
+    trial_ids, starts = columns.trial_ids, columns.starts
     if not metrics:
         # the header is line 1, and no row follows it
         raise TraceFormatError("trace file contains no step rows", path=path, line=1)
@@ -435,8 +424,133 @@ def _read_file(path: Path) -> list[TrialTrace]:
     return cohort
 
 
-def _row_problem(row: list[str]) -> str:
-    """Why a row failed the one check ``_read_file`` gives it, in the order checked."""
+def _split_plain_blocks(handle, chunk: str, columns: _Columns) -> str | None:
+    """Split the plain blocks that start the file's data rows into ``columns``.
+
+    A block is plain when it holds no ``"``, carriage return or NUL, and each of
+    its lines holds exactly four commas and fits ``csv.field_size_limit()``: the
+    ``csv`` module splits such text at its commas and line feeds too. Returns
+    the text from the first block that is not plain on, or None at the end.
+    """
+    limit = csv.field_size_limit()
+    rest = ""  # the line begun after the last line feed read
+    while True:
+        cut = chunk.rfind("\n") + 1
+        if chunk and not cut:
+            rest += chunk
+        else:
+            block, rest = rest + chunk[:cut], chunk[cut:]
+            if not block:
+                return None
+            body = block[:-1] if cut else block  # the last line may have no line feed
+            if (
+                '"' in body or "\r" in body or "\0" in body
+                or not _four_commas_a_line(body)
+                or (len(body) > limit and max(map(len, body.split("\n"))) > limit)
+            ):
+                return block + rest
+            fields = body.replace("\n", ",").split(",")
+            columns.add(*(fields[column::5] for column in range(5)))
+            if not chunk:
+                return None
+        chunk = handle.read(_BLOCK_CHARS)
+
+
+def _four_commas_a_line(body: str) -> bool:
+    if body.isascii():  # translate caches the table's answers in ASCII text only
+        separators = body.translate(_ALL_BUT_SEPARATORS) + "\n"
+        return separators == _ROW_SEPARATORS * (body.count("\n") + 1)
+    return set(map(str.count, body.split("\n"), repeat(","))) == {4}
+
+
+def _read_csv(handle, text: str, columns: _Columns, lines_before: int) -> None:
+    """Read ``text`` and the rest of ``handle`` with the ``csv`` module, a block of rows at a time.
+
+    ``text`` starts on line ``lines_before + 1``, with the header if that is line 1.
+    It is completed to the end of its last line, so the reader gets the lines a
+    ``newline=""`` file gives. Rows read before a ``csv.Error`` are checked before
+    it is raised.
+    """
+    path = columns.path
+    reader = csv.reader(chain(io.StringIO(text + handle.readline(), newline=""), handle))
+    rows: list[list[str]] = []
+    try:
+        if not lines_before:
+            header = next(reader, None)
+            if header is None or tuple(header) != TRACE_HEADER:
+                raise TraceFormatError(
+                    f"header must be {','.join(TRACE_HEADER)}", path=path, line=1
+                )
+        while True:
+            rows = []
+            rows.extend(islice(reader, _CSV_BLOCK_ROWS))  # keeps the rows read before an error
+            if not rows:
+                return
+            columns.add_rows(rows)
+    except csv.Error as exc:  # e.g. a quoted field that runs past the field size limit
+        columns.add_rows(rows)
+        raise TraceFormatError(
+            f"bad CSV: {exc}", path=path, line=lines_before + reader.line_num
+        ) from exc
+
+
+class _Columns:
+    """One file's rows as columns, added a block at a time.
+
+    ``add`` converts a block's columns with one ``map`` each (an int field once
+    per distinct spelling) and checks them in bulk; only a block that fails is
+    walked row by row, by ``_row_problem``. ``trial_ids`` holds one id per run
+    of contiguous rows, and ``starts`` the index of the run's first row.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.metrics: list[float] = []
+        self.features: list[int] = []
+        self.outers: list[int] = []
+        self.inners: list[int] = []
+        self.trial_ids: list[str] = []
+        self.starts: list[int] = []
+
+    def add_rows(self, rows: list[list[str]]) -> None:
+        if not rows:
+            return
+        if set(map(len, rows)) != {len(TRACE_HEADER)}:
+            self._walk(rows)
+        self.add(*zip(*rows))
+
+    def add(self, ids, outers, inners, metrics, counts) -> None:
+        try:
+            spellings = {*outers, *inners, *counts}
+            ints = dict(zip(spellings, map(int, spellings)))
+            values = list(map(float, metrics))
+            valid = "" not in ids and min(ints.values()) >= 0 and all(map(math.isfinite, values))
+        except ValueError:
+            valid = False
+        if not valid:
+            self._walk(zip(ids, outers, inners, metrics, counts))
+        start = len(self.metrics)
+        firsts = [0, *compress(range(1, len(ids)), map(ne, islice(ids, 1, None), ids))]
+        if self.trial_ids and self.trial_ids[-1] == ids[0]:
+            del firsts[0]  # the block's first run goes on with the last block's last run
+        self.trial_ids += [ids[first] for first in firsts]
+        self.starts += [start + first for first in firsts]
+        self.metrics += values
+        self.outers += map(ints.__getitem__, outers)
+        self.inners += map(ints.__getitem__, inners)
+        self.features += map(ints.__getitem__, counts)
+
+    def _walk(self, rows) -> None:
+        """Raise for the first bad row of a block that failed its check, at its line."""
+        for index, row in enumerate(rows, start=len(self.metrics)):
+            problem = _row_problem(row)
+            if problem is not None:
+                raise TraceFormatError(problem, path=self.path, line=_line_of(self.path, index))
+        raise AssertionError(f"{self.path}: a block failed its check, but none of its rows did")
+
+
+def _row_problem(row: Sequence[str]) -> str | None:
+    """Why a row fails the check each block of rows gets, in the order checked; None if not."""
     if len(row) != len(TRACE_HEADER):
         return f"expected {len(TRACE_HEADER)} fields, got {len(row)}"
     trial_id, outer_text, inner_text, metric_text, count_text = row
@@ -454,7 +568,9 @@ def _row_problem(row: list[str]) -> str:
         return f"metric must be finite, got {metric_text}"
     if outer < 0 or inner < 0:
         return "fold indices must be >= 0"
-    return "selected_feature_count must be >= 0"
+    if count < 0:
+        return "selected_feature_count must be >= 0"
+    return None
 
 
 def _line_of(path: Path, index: int) -> int:

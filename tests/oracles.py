@@ -4,19 +4,24 @@ These deliberately avoid the library's code paths: medians come from explicit
 sorting, means from exact rational arithmetic (every float is a dyadic
 rational), decisions from a direct transcription of the definitions,
 a multi-worker schedule from explicit turn-taking over the live decision API,
-and synthetic cohorts from the standard library's own ``gauss`` and ``randint``.
+synthetic cohorts from the standard library's own ``gauss`` and ``randint``, and
+trace files from the ``csv`` module's reader, one row at a time.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 from nestedprune import (
+    CvShape,
     Direction,
+    TraceFormatError,
     TrialTrace,
     ExtrapolationMethod,
     StepRecord,
@@ -185,3 +190,147 @@ def stdlib_generate_cohort(config) -> list:
             TrialTrace(f"trial_{index:03d}", config.shape, metrics=metrics, features=features)
         )
     return cohort
+
+
+TRACE_HEADER = ("trial_id", "outer_fold", "inner_fold", "metric", "n_selected_features")
+
+
+def row_read_traces(path) -> list:
+    """``read_traces`` of one file as a loop over ``csv.reader``'s rows, checking each as read.
+
+    The same cohort, or the same ``TraceFormatError`` text, path and line, as the
+    library's block reader must give for every UTF-8 file.
+    """
+    path = Path(path)
+    try:
+        handle = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise TraceFormatError(f"cannot open trace file: {exc}", path=path) from exc
+    metrics, features, outers, inners = [], [], [], []
+    trial_ids, starts = [], []  # one per run of contiguous rows
+    try:
+        with handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or tuple(header) != TRACE_HEADER:
+                raise TraceFormatError(
+                    f"header must be {','.join(TRACE_HEADER)}", path=path, line=1
+                )
+            current = None
+            for row in reader:
+                try:
+                    trial_id, outer, inner, metric, count = row
+                    outer, inner, count, metric = int(outer), int(inner), int(count), float(metric)
+                    valid = (
+                        trial_id and outer >= 0 and inner >= 0 and count >= 0
+                        and math.isfinite(metric)
+                    )
+                except ValueError:
+                    valid = False
+                if not valid:
+                    raise TraceFormatError(_row_problem(row), path=path, line=reader.line_num)
+                if trial_id != current:
+                    current = trial_id
+                    trial_ids.append(trial_id)
+                    starts.append(len(metrics))
+                metrics.append(metric)
+                features.append(count)
+                outers.append(outer)
+                inners.append(inner)
+    except UnicodeDecodeError as exc:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            line = data.count(b"\n", 0, whole.start) + 1
+            raise TraceFormatError(f"not UTF-8 text: {whole}", path=path, line=line) from exc
+        raise
+    except csv.Error as exc:
+        raise TraceFormatError(f"bad CSV: {exc}", path=path, line=reader.line_num) from exc
+    if not metrics:
+        raise TraceFormatError("trace file contains no step rows", path=path, line=1)
+    starts.append(len(metrics))
+
+    seen = set()
+    for trial_id, start in zip(trial_ids, starts):
+        if trial_id in seen:
+            raise TraceFormatError(
+                f"rows of trial {trial_id!r} must be contiguous",
+                path=path, line=_line_of(path, start),
+            )
+        seen.add(trial_id)
+
+    shape = None
+    cohort = []
+    for trial_id, start, stop in zip(trial_ids, starts, starts[1:]):
+        rows = stop - start
+        if shape is not None:
+            inner_folds = shape.inner_folds
+        else:
+            inner_folds = next((i for i, o in enumerate(outers[start:stop]) if o != 0), rows)
+            if inner_folds == 0:
+                raise TraceFormatError(
+                    f"trial {trial_id!r} must start at step (outer, inner)=(0, 0)",
+                    path=path, line=_line_of(path, start),
+                )
+        for index in range(rows):
+            expected = divmod(index, inner_folds)
+            got = (outers[start + index], inners[start + index])
+            if got != expected:
+                raise TraceFormatError(
+                    f"trial {trial_id!r}: expected step (outer, inner)={expected}, "
+                    f"got {got}; grid rows must be complete, unique, and in row-major order",
+                    path=path, line=_line_of(path, start + index),
+                )
+        if shape is None:
+            if rows % inner_folds != 0:
+                raise TraceFormatError(
+                    f"trial {trial_id!r} ends mid inner loop: {rows} rows with "
+                    f"{inner_folds} inner folds",
+                    path=path, line=_line_of(path, stop - 1),
+                )
+            try:
+                shape = CvShape(outer_folds=rows // inner_folds, inner_folds=inner_folds)
+            except ValueError as exc:
+                raise TraceFormatError(str(exc), path=path, line=_line_of(path, stop - 1)) from exc
+        elif rows != shape.total_steps:
+            raise TraceFormatError(
+                f"trial {trial_id!r} has {rows} rows, cohort shape "
+                f"{shape.outer_folds}x{shape.inner_folds} requires {shape.total_steps}",
+                path=path, line=_line_of(path, stop - 1),
+            )
+        cohort.append(
+            TrialTrace(trial_id, shape, metrics=metrics[start:stop], features=features[start:stop])
+        )
+    return cohort
+
+
+def _row_problem(row) -> str:
+    if len(row) != len(TRACE_HEADER):
+        return f"expected {len(TRACE_HEADER)} fields, got {len(row)}"
+    trial_id, outer_text, inner_text, metric_text, count_text = row
+    if not trial_id:
+        return "trial_id must be non-empty"
+    try:
+        outer, inner, count = int(outer_text), int(inner_text), int(count_text)
+    except ValueError as exc:
+        return f"bad integer field: {exc}"
+    try:
+        metric = float(metric_text)
+    except ValueError as exc:
+        return f"bad metric field: {exc}"
+    if not math.isfinite(metric):
+        return f"metric must be finite, got {metric_text}"
+    if outer < 0 or inner < 0:
+        return "fold indices must be >= 0"
+    return "selected_feature_count must be >= 0"
+
+
+def _line_of(path, index: int) -> int:
+    """The line data row ``index`` ends on, counted by ``csv.reader``."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        for count, _ in enumerate(reader):
+            if count == index + 1:  # row 0 is the header
+                return reader.line_num
+    raise AssertionError(f"{path} has no data row {index}")

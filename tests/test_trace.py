@@ -6,10 +6,15 @@ import hashlib
 import io
 import math
 import re
+import sys
+import tempfile
+from functools import cache
+from pathlib import Path
 
 import oracles
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mutations import damaged, edits
 
 import nestedprune.engine as engine_module
@@ -355,6 +360,21 @@ class TestRoundTrip:
         ]
         assert read_traces(target) == cohort
 
+    def test_directory_is_read_in_file_name_order(self, tmp_path):
+        # not in the order written: replay decisions depend on arrival order
+        cohort = TestRoundTrip.with_ids(["b", "a", "c"])
+        write_traces(cohort, tmp_path / "traces", per_trial=True)
+        assert [t.trial_id for t in read_traces(tmp_path / "traces")] == ["a", "b", "c"]
+
+    def test_generated_ids_past_999_sort_by_file_name(self, tmp_path):
+        cohort = generate_cohort(gen_config(trials=1001, shape=CvShape(2, 2)))
+        write_traces(cohort, tmp_path / "traces", per_trial=True)
+        ids = [t.trial_id for t in read_traces(tmp_path / "traces")]
+        assert ids == sorted(t.trial_id for t in cohort) != [t.trial_id for t in cohort]
+        assert ids[ids.index("trial_100"):ids.index("trial_100") + 3] == [
+            "trial_100", "trial_1000", "trial_101"
+        ]
+
     @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", "", ".", "..", "a\0b"])
     def test_per_trial_refuses_an_id_that_is_not_a_file_name(self, tmp_path, bad_id):
         cohort = generate_cohort(gen_config())
@@ -646,3 +666,182 @@ class TestFormatErrors:
             read_traces(path)
         assert (err.value.path, err.value.line) == (path, 1000)
         assert str(err.value).startswith(f"{path}: line 1000: not UTF-8 text")
+
+
+BLOCK = 16 * 1024  # characters in a block of the block reader
+LONG = CvShape(30, 10)  # 300 rows, about 11 KB, a trial
+
+
+@cache
+def cohort_and_bytes(trials: int, renamed: tuple[tuple[int, str], ...] = ()):
+    """A generated 30x10 cohort with the ids at some indices replaced, and its file's bytes."""
+    cohort = generate_cohort(gen_config(trials=trials, shape=LONG))
+    for index, trial_id in renamed:
+        trace = cohort[index]
+        cohort[index] = TrialTrace(
+            trial_id, trace.shape, metrics=trace.metrics, features=trace.features
+        )
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "cohort.csv"
+        write_traces(cohort, path)
+        return cohort, path.read_bytes()
+
+
+def read_or_error(reader, path):
+    try:
+        return reader(path)
+    except TraceFormatError as exc:
+        return exc
+
+
+class TestBlockReaderParity:
+    """``read_traces`` reads every file as ``oracles.row_read_traces``, the row-by-row
+    ``csv.reader`` loop it replaced, does: the same cohort, or the same error text,
+    path and line."""
+
+    def test_block_size(self):
+        assert trace_module._BLOCK_CHARS == BLOCK
+
+    # flips and cuts within two lines of the first six block ends; edits puts
+    # them in the first 64 KiB only
+    near_block_ends = st.lists(
+        st.tuples(
+            st.sampled_from(["truncate", "flip", "duplicate", "drop"]),
+            st.builds(
+                lambda block, offset: block * BLOCK + offset,
+                st.integers(min_value=1, max_value=6),
+                st.integers(min_value=-80, max_value=80),
+            ),
+            st.integers(min_value=1, max_value=255),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.one_of(edits, near_block_ends), quoted=st.booleans())
+    def test_damaged_file_reads_as_the_row_reader_reads_it(self, tmp_path, edits, quoted):
+        # 9 trials: about 100 KB, six blocks; a quoted id hands the seventh
+        # trial, which starts past four blocks, to the csv module
+        _, clean = cohort_and_bytes(9, ((6, "a,b"),) if quoted else ())
+        assert len(clean) > 6 * BLOCK
+        assert clean.index(b'"a,b"' if quoted else b"trial_006") > 4 * BLOCK
+        path = tmp_path / "traces.csv"
+        data = damaged(clean, edits)
+        path.write_bytes(data)
+        got = read_or_error(read_traces, path)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            # which error comes first depends on where the decoder's chunks end
+            assert isinstance(got, TraceFormatError) and got.path == path
+            assert 1 <= got.line <= data.count(b"\n") + 1
+            return
+        want = read_or_error(oracles.row_read_traces, path)
+        if isinstance(want, TraceFormatError):
+            assert isinstance(got, TraceFormatError), f"read, but the row reader says: {want}"
+            assert (str(got), got.path, got.line) == (str(want), want.path, want.line)
+        else:
+            assert got == want
+
+    def test_clean_files_read_as_the_row_reader_reads_them(self, tmp_path):
+        path = tmp_path / "traces.csv"
+        for renamed in ((), ((6, "a,b"),), ((0, "l\nm"), (8, "\u00fc"))):
+            cohort, data = cohort_and_bytes(9, renamed)
+            path.write_bytes(data)
+            assert read_traces(path) == oracles.row_read_traces(path) == cohort
+
+
+class TestBlockReaderEdges:
+    """Files the block reader must read, or refuse, as the row-by-row reader did."""
+
+    @staticmethod
+    def refused(path) -> TraceFormatError:
+        with pytest.raises(TraceFormatError) as err:
+            read_traces(path)
+        assert err.value.path == path
+        return err.value
+
+    @pytest.mark.parametrize("at", [7, 3_000], ids=["first-block", "seventh-block"])
+    def test_blank_line_names_its_line(self, tmp_path, at):
+        _, data = cohort_and_bytes(12)
+        lines = data.split(b"\n")
+        lines.insert(at, b"")  # line at + 1
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\n".join(lines))
+        error = self.refused(path)
+        assert error.line == at + 1
+        assert str(error) == f"{path}: line {at + 1}: expected 5 fields, got 0"
+
+    @pytest.mark.parametrize("trials", [1, 9])
+    def test_last_row_without_line_feed_is_read(self, tmp_path, trials):
+        cohort, data = cohort_and_bytes(trials)
+        path = tmp_path / "t.csv"
+        path.write_bytes(data.rstrip(b"\n"))
+        assert read_traces(path) == cohort
+
+    def test_crlf_copy_reads_to_the_same_cohort(self, tmp_path):
+        cohort, data = cohort_and_bytes(9, ((6, "a,b"),))
+        path = tmp_path / "t.csv"
+        path.write_bytes(data.replace(b"\n", b"\r\n"))
+        assert read_traces(path) == cohort
+
+    @pytest.mark.parametrize("odd_id, lines_a_row", [("a,b", 1), ("l\nm", 2)], ids=repr)
+    def test_quoted_id_after_three_plain_blocks(self, tmp_path, odd_id, lines_a_row):
+        cohort, data = cohort_and_bytes(12, ((10, odd_id),))
+        quoted = ('"' + odd_id + '"').encode("utf-8")
+        assert data.index(quoted) > 3 * BLOCK and data.count(b'"') == 2 * LONG.total_steps
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        assert read_traces(path) == cohort
+        # a bad row in the trial after it: row 5 of trial 11
+        lines = data.split(b"\n")
+        trial = LONG.total_steps
+        line = 1 + 10 * trial + trial * lines_a_row + 6
+        assert lines[line - 1].startswith(b"trial_011,0,5,")
+        lines[line - 1] = lines[line - 1].rsplit(b",", 1)[0] + b",-1"
+        path.write_bytes(b"\n".join(lines))
+        error = self.refused(path)
+        assert str(error) == f"{path}: line {line}: selected_feature_count must be >= 0"
+
+    def test_quoted_header_is_accepted(self, tmp_path):
+        header = '"trial_id",outer_fold,"inner_fold",metric,n_selected_features'
+        path = write_text(tmp_path, header + "\n" + "\n".join(rows_for("t0", SHAPE)) + "\n")
+        assert read_traces(path) == [
+            TrialTrace("t0", SHAPE, metrics=[0.5] * 6, features=[3] * 6)
+        ]
+
+    def test_unquoted_field_past_the_limit_names_its_line(self, tmp_path):
+        rows = rows_for("t0", SHAPE)
+        rows[4] = "t0,2,0,0." + "5" * csv.field_size_limit() + ",3"  # line 6
+        path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+        error = self.refused(path)
+        assert str(error) == (
+            f"{path}: line 6: bad CSV: field larger than field limit ({csv.field_size_limit()})"
+        )
+
+    def test_bad_row_before_a_csv_error_is_named_first(self, tmp_path):
+        rows = rows_for("t0", SHAPE)
+        rows[1] = '"t0",0,1,0.5,-3'  # line 3, read by the csv module
+        rows[4] = "t0,2,0,0." + "5" * csv.field_size_limit() + ",3"
+        path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+        error = self.refused(path)
+        assert str(error) == f"{path}: line 3: selected_feature_count must be >= 0"
+
+    def test_integer_spellings_int_accepts(self, tmp_path):
+        spelled = ["t0,0,0,0.5,+1", "t0,0,01,0.5,3", "t0,+1,0,0.5, 2",
+                   "t0,1,\u0661,0.5,1_0", "t0, 2,0,0.5,3", "t0,2,1,0.5,\u0661"]
+        path = write_text(tmp_path, HEADER + "\n" + "\n".join(spelled) + "\n")
+        assert read_traces(path) == [
+            TrialTrace("t0", SHAPE, metrics=[0.5] * 6, features=[1, 3, 2, 10, 3, 1])
+        ]
+
+    def test_id_holding_nul(self, tmp_path):
+        rows = rows_for("t0", SHAPE) + rows_for("a\0b", SHAPE)
+        path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+        if sys.version_info < (3, 11):  # the csv module takes NUL from 3.11 on
+            error = self.refused(path)
+            assert str(error) == f"{path}: line 8: bad CSV: line contains NUL"
+        else:
+            assert [t.trial_id for t in read_traces(path)] == ["t0", "a\0b"]
