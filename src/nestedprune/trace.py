@@ -4,9 +4,8 @@ Trace files are UTF-8 CSV with LF line endings, header
 ``trial_id,outer_fold,inner_fold,metric,n_selected_features`` and one row per
 trained model in row-major order (all inner folds of outer fold 0, then outer
 fold 1, ...). Metrics are written with 17 significant digits so a round trip
-preserves them bit for bit. A cohort is either one combined file or a
-directory of per-trial ``*.csv`` files; writing emits the combined form by
-default.
+preserves them bit for bit. A cohort is written as one file; reading also
+takes a directory of such files, read in sorted file-name order.
 
 Users with real data record their per-fold validation metrics in this format
 from their own training loop and feed the file to ``replay``/``bench``.
@@ -17,17 +16,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, filterfalse, islice, repeat
 from operator import ne
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .engine import CvShape, StepRecord, _step_from_checked, check_cohort
-from .errors import FormatError, TraceFormatError, check_fields, not_utf8
+from .errors import TraceFormatError, check_fields, not_utf8
 from .metrics import Direction
 
 TRACE_HEADER = ("trial_id", "outer_fold", "inner_fold", "metric", "n_selected_features")
@@ -46,11 +44,10 @@ class TraceGenConfig:
     Each trial draws a base quality level uniformly from
     ``[base_min, base_max]``; steps add Gaussian noise and, with
     ``outlier_prob``, a spike of ``outlier_magnitude`` in the pessimistic
-    direction (both directions when ``symmetric_outliers`` is set). A trial is
-    a zero-selected-features trial with probability ``zero_feature_prob``;
-    such models predict a constant, so their base is pinned to the worst end
-    of the quality spread. Minimized metrics are clamped at zero, mirroring
-    logloss.
+    direction. A trial is a zero-selected-features trial with probability
+    ``zero_feature_prob``; such models predict a constant, so their base is
+    pinned to the worst end of the quality spread. Minimized metrics are
+    clamped at zero, mirroring logloss.
     """
 
     trials: int
@@ -63,7 +60,6 @@ class TraceGenConfig:
     outlier_magnitude: float = 1.0
     zero_feature_prob: float = 0.10
     direction: Direction = Direction.MINIMIZE
-    symmetric_outliers: bool = False
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -88,7 +84,8 @@ class TrialTrace:
     ``metrics[i]`` and ``features[i]`` (the selected-feature count) belong to
     grid position ``shape.positions[i]``. The columns are checked once, in
     bulk, when the trace is made: one value per grid position, every metric
-    finite, every count an int >= 0. ``TrialTrace(trial_id, shape, steps)`` takes
+    finite, every count an int >= 0. The id must be a non-empty ``str`` and
+    the shape a ``CvShape``. ``TrialTrace(trial_id, shape, steps)`` takes
     ``StepRecord``s instead, checks their ids and positions, and derives the
     columns from them. ``steps`` gives the ``StepRecord``s back.
     """
@@ -107,6 +104,12 @@ class TrialTrace:
         metrics: Sequence[float] | None = None,
         features: Sequence[int] | None = None,
     ) -> None:
+        if not isinstance(trial_id, str):
+            raise TypeError(f"trial_id must be a str, got {trial_id!r}")
+        if not trial_id:
+            raise TraceFormatError("trial_id must be non-empty")
+        if not isinstance(shape, CvShape):
+            raise TypeError(f"shape must be a CvShape, got {shape!r}")
         if steps is not None:
             if metrics is not None or features is not None:
                 raise TypeError("a trace takes either steps, or metrics and features")
@@ -196,8 +199,8 @@ def generate_cohort(config: TraceGenConfig) -> list[TrialTrace]:
     ``random.randint``, in the order and arithmetic those use, so the cohort
     is the same bytes and does not depend on how a Python version implements
     them. Per trial: the base (``uniform``), then the zero-feature draw. Per
-    step: the noise, the outlier draw, the outlier's sign (symmetric outliers
-    only) and the feature count (trials with features only).
+    step: the noise, the outlier draw and the feature count (trials with
+    features only).
     """
     rng = random.Random(config.seed)
     draw, bits = rng.random, rng.getrandbits
@@ -207,7 +210,6 @@ def generate_cohort(config: TraceGenConfig) -> list[TrialTrace]:
     worst_base = config.base_max if minimize else config.base_min
     noise_sd, outlier_prob = config.noise_sd, config.outlier_prob
     spike = config.outlier_magnitude if minimize else -config.outlier_magnitude
-    symmetric = config.symmetric_outliers
     total = config.shape.total_steps
     # Normals come in Box-Muller pairs from two uniforms; the second of a pair
     # is kept for the next step, across trials too, as ``random.gauss`` keeps it.
@@ -231,7 +233,7 @@ def generate_cohort(config: TraceGenConfig) -> list[TrialTrace]:
             # a normal of mean 0.0: the 0.0 + turns a -0.0 product into 0.0
             metric = base + (0.0 + z * noise_sd)
             if draw() < outlier_prob:
-                metric += -spike if symmetric and draw() < 0.5 else spike
+                metric += spike
             if minimize and metric < 0.0:
                 metric = 0.0
             metrics.append(metric)
@@ -247,41 +249,18 @@ def generate_cohort(config: TraceGenConfig) -> list[TrialTrace]:
     return cohort
 
 
-def write_traces(cohort: Sequence[TrialTrace], path, per_trial: bool = False) -> None:
-    """Write a cohort as one combined CSV file, or one file per trial in a directory."""
-    target = Path(path)
-    # refuse what read_traces would refuse, before anything is created; in the
-    # per-trial form each file is also named after its trial, so every id must
-    # name a file in target
-    check_cohort(cohort)
-    for trace in cohort:
-        trial_id = trace.trial_id
-        if per_trial and (
-            trial_id in ("", ".", "..")
-            or any(sep and sep in trial_id for sep in ("/", os.sep, os.altsep, "\0"))
-        ):
-            raise FormatError(f"trial id {trial_id!r} is not a plain file name")
-        if not trial_id:
-            raise FormatError("trial_id must be non-empty")
-    if per_trial:
-        target.mkdir(parents=True, exist_ok=True)
-        for trace in cohort:
-            _write_file([trace], target / f"{trace.trial_id}.csv")
-    else:
-        _write_file(cohort, target)
-
-
-def _write_file(traces: Iterable[TrialTrace], path: Path) -> None:
-    """Write the header, then each trial's rows as one string.
+def write_traces(cohort: Sequence[TrialTrace], path) -> None:
+    """Write a cohort as one trace file: the header, then each trial's rows as one string.
 
     Only the id can need quoting, so it is quoted once per trial: wrapped in
     ``"``, each inner ``"`` doubled, when it holds a ``,``, ``"``, ``\\r`` or ``\\n``.
     The bytes are those of ``csv.writer(lineterminator="\\n")``, but for an id
     holding a lone ``\\r``, which that writer leaves bare and its reader splits.
     """
+    check_cohort(cohort)  # refuse what read_traces would refuse, before the file is made
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(TRACE_HEADER) + "\n")
-        for trace in traces:
+        handle.write(_HEADER_LINE)
+        for trace in cohort:
             cell = trace.trial_id
             if not _QUOTE_IF_HELD.isdisjoint(cell):
                 cell = '"' + cell.replace('"', '""') + '"'
@@ -294,9 +273,10 @@ def _write_file(traces: Iterable[TrialTrace], path: Path) -> None:
 
 
 def read_traces(path) -> list[TrialTrace]:
-    """Read a cohort from a combined trace file or a directory of per-trial files.
+    """Read a cohort from a trace file, or from a directory of trace files.
 
-    A directory's ``*.csv`` files are read in sorted file-name order.
+    A directory's ``*.csv`` files are read in sorted file-name order, which is
+    the cohort's order; replay decisions depend on it.
     """
     source = Path(path)
     if source.is_dir():

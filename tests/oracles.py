@@ -181,7 +181,7 @@ def stdlib_generate_cohort(config) -> list:
         for _ in range(config.shape.total_steps):
             metric = base + rng.gauss(0.0, config.noise_sd)
             if rng.random() < config.outlier_prob:
-                metric += -spike if config.symmetric_outliers and rng.random() < 0.5 else spike
+                metric += spike
             if minimize and metric < 0.0:
                 metric = 0.0
             metrics.append(metric)

@@ -17,6 +17,7 @@ from oracles import (
     within_one_ulp,
 )
 
+import nestedprune.pruners as pruners_module
 from nestedprune import (
     AshaConfig,
     BenchConfig,
@@ -69,6 +70,24 @@ THREE_LAYER = PrunerConfig(
 ASHA_ONLY = PrunerConfig(
     direction=MIN, asha=TABLE_ASHA, semantic_enabled=False, threshold_enabled=False
 )
+CRITERION_1 = BenchConfig(
+    variants={"asha": ASHA_ONLY, "three-layer": THREE_LAYER},
+    baseline="asha",
+    source=REFERENCE_GEN,
+    repetitions=30,
+    trials_per_rep=40,
+    base_seed=42,
+)
+# each layer's calls and prunes in one criterion-1 round, named as perfbench's
+# tracer names them; the workflow's reference trace step pins the same counts
+CRITERION_1_LAYER_COUNTS = {
+    "pruners.semantic.calls": 63295,
+    "pruners.threshold.calls": 30982,
+    "pruners.comparison.calls": 2111,
+    "pruners.semantic.prunes": 117,
+    "pruners.threshold.prunes": 761,
+    "pruners.comparison.prunes": 1172,
+}
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -79,16 +98,8 @@ def verdict(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_reference_benchmark():
     """Three-layer pruning beats ASHA-only by >= 40% while keeping every best trial."""
-    config = BenchConfig(
-        variants={"asha": ASHA_ONLY, "three-layer": THREE_LAYER},
-        baseline="asha",
-        source=REFERENCE_GEN,
-        repetitions=30,
-        trials_per_rep=40,
-        base_seed=42,
-    )
     started = time.monotonic()
-    report = compare_pruners(config)
+    report = compare_pruners(CRITERION_1)
     elapsed = time.monotonic() - started
     three = next(v for v in report.variants if v.name == "three-layer")
     saved = three.percent_models_saved_vs_baseline
@@ -100,6 +111,22 @@ def test_criterion_1_reference_benchmark():
         f"saved {saved:.1f}% vs asha-only (need >= 40), best preserved in "
         f"{preserved}/30 repetitions, wall clock {elapsed:.1f}s (need < 60)",
     )
+
+
+def test_criterion_1_layer_counts(monkeypatch):
+    """Which step reaches which layer, and what each layer decides, in the criterion-1 round."""
+    counts = dict.fromkeys(CRITERION_1_LAYER_COUNTS, 0)
+    for name, layer in (("semantic_decide", "semantic"), ("threshold_decide", "threshold"),
+                        ("asha_record_and_decide", "comparison")):
+        def counted(*args, decide=getattr(pruners_module, name), layer=layer):
+            decision = decide(*args)
+            counts[f"pruners.{layer}.calls"] += 1
+            counts[f"pruners.{layer}.prunes"] += decision.pruned
+            return decision
+
+        monkeypatch.setattr(pruners_module, name, counted)
+    compare_pruners(CRITERION_1)
+    assert counts == CRITERION_1_LAYER_COUNTS
 
 
 def test_criterion_2_false_prune_ordering():

@@ -153,8 +153,6 @@ def test_non_finite_float_names_the_field(cls, name, value):
         # a cohort was generated
         (TraceGenConfig, dict(seed=1.5), TypeError, "seed"),
         (TraceGenConfig, dict(seed="x"), TypeError, "seed"),
-        # outliers became symmetric
-        (TraceGenConfig, dict(symmetric_outliers="no"), TypeError, "symmetric_outliers"),
         (TraceGenConfig, dict(shape=(6, 4)), TypeError, "shape"),
         # these died later, in range
         (TraceGenConfig, dict(trials=2.5), TypeError, "trials"),

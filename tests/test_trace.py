@@ -46,6 +46,13 @@ def gen_config(**overrides):
     return TraceGenConfig(**base)
 
 
+def write_directory(cohort, target):
+    """Write each trial to its own file in ``target``, named after its id."""
+    target.mkdir()
+    for trace in cohort:
+        write_traces([trace], target / f"{trace.trial_id}.csv")
+
+
 class TestTraceGenConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -101,6 +108,36 @@ class TestTrialTraceInvariants:
         steps[1] = StepRecord("other", 0, 0, 0.5, 3)
         with pytest.raises(TraceFormatError, match="^step 1 of trial 't' carries id 'other'$"):
             TrialTrace(trial_id="t", shape=SHAPE, steps=tuple(steps))
+
+
+class TestTrialTraceIdAndShape:
+    """Both constructor forms refuse an id that is not a non-empty str, and a shape
+    that is not a ``CvShape``; once a bytes id was written as ``b'x'``, an int id
+    failed in the writer, and a tuple shape failed with an ``AttributeError``."""
+
+    @staticmethod
+    def forms(trial_id, shape):
+        steps = [StepRecord(trial_id, o, i, 0.5, 3) for o, i in SHAPE.positions]
+        yield lambda: TrialTrace(trial_id, shape, steps)
+        yield lambda: TrialTrace(trial_id, shape, metrics=[0.5] * 6, features=[3] * 6)
+
+    @pytest.mark.parametrize("trial_id", [b"x", 7, None], ids=repr)
+    def test_id_that_is_not_a_str_refused(self, trial_id):
+        for make in self.forms(trial_id, SHAPE):
+            with pytest.raises(
+                TypeError, match=re.escape(f"trial_id must be a str, got {trial_id!r}")
+            ):
+                make()
+
+    def test_empty_id_refused(self):
+        for make in self.forms("", SHAPE):
+            with pytest.raises(ValueError, match="^trial_id must be non-empty$"):
+                make()
+
+    def test_shape_that_is_not_a_cv_shape_refused(self):
+        for make in self.forms("t", (3, 2)):
+            with pytest.raises(TypeError, match=re.escape("shape must be a CvShape, got (3, 2)")):
+                make()
 
 
 class TestTrialTraceColumns:
@@ -204,7 +241,7 @@ class TestStepObjects:
     def test_generate_and_read_build_none(self, made, tmp_path):
         cohort = generate_cohort(gen_config(trials=5))
         write_traces(cohort, tmp_path / "cohort.csv")
-        write_traces(cohort, tmp_path / "traces", per_trial=True)
+        write_directory(cohort, tmp_path / "traces")
         assert read_traces(tmp_path / "cohort.csv") == cohort
         assert read_traces(tmp_path / "traces") == cohort
         assert made == {"checked": [], "from_columns": []}
@@ -240,7 +277,7 @@ class TestStepObjects:
 
 
 class TestPinnedBytes:
-    """sha256 of trace files, recorded before traces were held as columns."""
+    """sha256 of trace files, each recorded on an earlier generator and writer."""
 
     def test_criterion_1_gen_file(self, tmp_path):
         out = tmp_path / "cohort.csv"
@@ -248,15 +285,15 @@ class TestPinnedBytes:
         assert main(args + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_1_COHORT_SHA256
 
-    def test_maximize_symmetric_outliers_file(self, tmp_path):
+    def test_maximize_file(self, tmp_path):
         config = TraceGenConfig(
             trials=12, shape=CvShape(6, 4), seed=5, outlier_prob=0.3,
-            direction=Direction.MAXIMIZE, symmetric_outliers=True,
+            direction=Direction.MAXIMIZE,
         )
         out = tmp_path / "cohort.csv"
         write_traces(generate_cohort(config), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "e9463e6cfdec95726577f61972038d9fac0dc86cf469ca4674081f30b4db58ba"
+            "220cef973e009f33318f6f3844864914027a3fd568599a87d5c4ecaafde17ddc"
         )
 
 
@@ -271,12 +308,9 @@ class TestGenerationOracle:
         [
             dict(),
             dict(direction=Direction.MAXIMIZE),
-            dict(symmetric_outliers=True, outlier_prob=0.3),
-            dict(direction=Direction.MAXIMIZE, symmetric_outliers=True, outlier_prob=0.3),
             dict(zero_feature_prob=0.0),
             dict(zero_feature_prob=1.0),
             dict(outlier_prob=1.0),
-            dict(outlier_prob=1.0, symmetric_outliers=True),
             dict(noise_sd=0.0, base_min=-0.0, base_max=-0.0),
             dict(noise_sd=0.0, base_min=-0.0, base_max=-0.0, direction=Direction.MAXIMIZE),
             dict(base_min=0.0, base_max=0.05, noise_sd=0.5),  # clamps at zero
@@ -353,78 +387,44 @@ class TestRoundTrip:
 
     def test_per_trial_directory(self, tmp_path):
         cohort = generate_cohort(gen_config())
-        target = tmp_path / "traces"
-        write_traces(cohort, target, per_trial=True)
-        assert sorted(p.name for p in target.glob("*.csv")) == [
-            f"{t.trial_id}.csv" for t in cohort
-        ]
-        assert read_traces(target) == cohort
+        write_directory(cohort, tmp_path / "traces")
+        assert read_traces(tmp_path / "traces") == cohort
 
     def test_directory_is_read_in_file_name_order(self, tmp_path):
         # not in the order written: replay decisions depend on arrival order
         cohort = TestRoundTrip.with_ids(["b", "a", "c"])
-        write_traces(cohort, tmp_path / "traces", per_trial=True)
+        write_directory(cohort, tmp_path / "traces")
         assert [t.trial_id for t in read_traces(tmp_path / "traces")] == ["a", "b", "c"]
 
     def test_generated_ids_past_999_sort_by_file_name(self, tmp_path):
         cohort = generate_cohort(gen_config(trials=1001, shape=CvShape(2, 2)))
-        write_traces(cohort, tmp_path / "traces", per_trial=True)
+        write_directory(cohort, tmp_path / "traces")
         ids = [t.trial_id for t in read_traces(tmp_path / "traces")]
         assert ids == sorted(t.trial_id for t in cohort) != [t.trial_id for t in cohort]
         assert ids[ids.index("trial_100"):ids.index("trial_100") + 3] == [
             "trial_100", "trial_1000", "trial_101"
         ]
 
-    @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", "", ".", "..", "a\0b"])
-    def test_per_trial_refuses_an_id_that_is_not_a_file_name(self, tmp_path, bad_id):
-        cohort = generate_cohort(gen_config())
-        last = cohort[-1]
-        # the bad id comes last, after trials that would already have been written
-        cohort[-1] = TrialTrace(bad_id, last.shape, metrics=last.metrics, features=last.features)
-        with pytest.raises(ValueError, match=re.escape(f"trial id {bad_id!r}")):
-            write_traces(cohort, tmp_path / "traces", per_trial=True)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_per_trial_refuses_a_duplicate_id(self, tmp_path):
-        template = generate_cohort(gen_config(trials=1))[0]
-        columns = dict(metrics=template.metrics, features=template.features)
-        cohort = [TrialTrace("same", template.shape, **columns) for _ in range(2)]
-        with pytest.raises(ValueError, match=re.escape("duplicate trial id 'same'")):
-            write_traces(cohort, tmp_path / "traces", per_trial=True)
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize(
-        "ids, message",
-        [(["same", "same"], "duplicate trial id 'same' in cohort"),
-         (["t0", ""], "trial_id must be non-empty")],
-        ids=["duplicate", "empty"],
-    )
-    def test_combined_refuses_what_read_traces_refuses(self, tmp_path, ids, message):
-        template = generate_cohort(gen_config(trials=1))[0]
-        columns = dict(metrics=template.metrics, features=template.features)
-        cohort = [TrialTrace(trial_id, template.shape, **columns) for trial_id in ids]
-        with pytest.raises(ValueError, match=re.escape(message)):
-            write_traces(cohort, tmp_path / "cohort.csv")
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("per_trial", [False, True], ids=["combined", "per-trial"])
-    @pytest.mark.parametrize(
-        "shapes, message",
+        "trials, message",
         [((), "cohort must contain at least one trial"),
-         ((SHAPE, CvShape(4, 2)), "trial 't1' shape CvShape(outer_folds=4, inner_folds=2) "
-                                  "differs from cohort shape CvShape(outer_folds=3, inner_folds=2)")],
-        ids=["empty", "mixed-shapes"],
+         ((("same", SHAPE), ("same", SHAPE)), "duplicate trial id 'same' in cohort"),
+         ((("t0", SHAPE), ("t1", CvShape(4, 2))),
+          "trial 't1' shape CvShape(outer_folds=4, inner_folds=2) "
+          "differs from cohort shape CvShape(outer_folds=3, inner_folds=2)")],
+        ids=["empty", "duplicate", "mixed-shapes"],
     )
-    def test_refuses_a_cohort_read_traces_refuses(self, tmp_path, per_trial, shapes, message):
-        # read back, an empty cohort has no step rows or no files, and a second
-        # shape is a row count its cohort's shape does not allow
+    def test_refuses_a_cohort_read_traces_refuses(self, tmp_path, trials, message):
+        # read back, an empty cohort has no step rows, a second trial of one id
+        # is a trial split in two, and a second shape is a row count its
+        # cohort's shape does not allow
         cohort = [
-            TrialTrace(f"t{index}", shape, metrics=[0.5] * shape.total_steps,
+            TrialTrace(trial_id, shape, metrics=[0.5] * shape.total_steps,
                        features=[3] * shape.total_steps)
-            for index, shape in enumerate(shapes)
+            for trial_id, shape in trials
         ]
         with pytest.raises(ValueError, match=re.escape(message)):
-            write_traces(cohort, tmp_path / "out", per_trial=per_trial)
+            write_traces(cohort, tmp_path / "cohort.csv")
         assert list(tmp_path.iterdir()) == []
 
     def test_combined_keeps_ids_that_are_not_file_names(self, tmp_path):
@@ -433,20 +433,6 @@ class TestRoundTrip:
         cohort = [TrialTrace(trial_id, template.shape, **columns) for trial_id in ("a/b", "..")]
         write_traces(cohort, tmp_path / "cohort.csv")
         assert read_traces(tmp_path / "cohort.csv") == cohort
-
-    def test_per_trial_keeps_ids_that_are_plain_file_names(self, tmp_path):
-        template = generate_cohort(gen_config(trials=1))[0]
-        columns = dict(metrics=template.metrics, features=template.features)
-        cohort = [
-            TrialTrace(trial_id, template.shape, **columns)
-            for trial_id in ("..x", ".hidden", "run 1", "x..y")
-        ]
-        target = tmp_path / "traces"
-        write_traces(cohort, target, per_trial=True)
-        assert sorted(p.name for p in target.iterdir()) == sorted(
-            f"{t.trial_id}.csv" for t in cohort
-        )
-        assert read_traces(target) == sorted(cohort, key=lambda t: f"{t.trial_id}.csv")
 
     # ids the writer must quote (",", '"', "\n", "\r"), and two it must not
     ODD_IDS = ("a,b", 'q"x', "l\nm", "c\rr", "x\r\ny", " sp ", "\u00fc")
@@ -485,23 +471,6 @@ class TestRoundTrip:
                 )
             )
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
-
-    def test_per_trial_files_join_to_the_combined_file(self, tmp_path):
-        cohort = generate_cohort(gen_config(trials=6))
-        for index, trial_id in enumerate(("a,b", 'q"x', " sp ", "\u00fc")):
-            trace = cohort[index]
-            cohort[index] = TrialTrace(
-                trial_id, trace.shape, metrics=trace.metrics, features=trace.features
-            )
-        write_traces(cohort, tmp_path / "cohort.csv")
-        write_traces(cohort, tmp_path / "traces", per_trial=True)
-        header = (",".join(trace_module.TRACE_HEADER) + "\n").encode("utf-8")
-        bodies = []
-        for trace in cohort:
-            data = (tmp_path / "traces" / f"{trace.trial_id}.csv").read_bytes()
-            assert data.startswith(header)
-            bodies.append(data[len(header):])
-        assert (tmp_path / "cohort.csv").read_bytes() == header + b"".join(bodies)
 
     def test_writes_are_byte_identical(self, tmp_path):
         cohort = generate_cohort(gen_config())
@@ -702,8 +671,8 @@ class TestBlockReaderParity:
     def test_block_size(self):
         assert trace_module._BLOCK_CHARS == BLOCK
 
-    # flips and cuts within two lines of the first six block ends; edits puts
-    # them in the first 64 KiB only
+    # flips and cuts within two lines of the first six block ends, where
+    # edits, drawing an offset anywhere in the file, seldom lands
     near_block_ends = st.lists(
         st.tuples(
             st.sampled_from(["truncate", "flip", "duplicate", "drop"]),

@@ -1,15 +1,18 @@
-"""The CI workflow pins the same bytes as the tier-1 tests, and runs every benchmark workload.
+"""The CI workflow pins the same bytes and layer counts as the tier-1 tests, and runs
+every benchmark workload.
 
-The workflow's determinism job cannot run offline, so a digest re-pinned in a
-test and not in the workflow (or the other way round) would otherwise go
-unseen, as would a workload of BENCHMARK.json that CI never runs. The workflow
+The workflow's determinism job cannot run offline, so a digest or a count
+re-pinned in a test and not in the workflow (or the other way round) would
+otherwise go unseen, as would a workload of BENCHMARK.json that CI never runs. The workflow
 is read as text: no YAML parser is needed or installed.
 """
 
+import ast
 import json
 import re
 from pathlib import Path
 
+from test_acceptance import CRITERION_1_LAYER_COUNTS
 from test_cli import TRACES_REPORT_CSV_SHA256, TRACES_REPORT_JSON_SHA256, VARIANTS
 from test_trace import CRITERION_1_COHORT_SHA256
 
@@ -31,6 +34,13 @@ def test_determinism_digests_match_the_tests():
         "report.json": TRACES_REPORT_JSON_SHA256,
         "report.csv": TRACES_REPORT_CSV_SHA256,
     }
+
+
+def test_reference_layer_counts_match_the_tests():
+    step = re.search(r"- name: Trace reference and require its per-round layer counts"
+                     r".*?\n\s*expected = (\{.*?\})\n", workflow_text(), re.DOTALL)
+    assert step is not None
+    assert ast.literal_eval(step.group(1)) == CRITERION_1_LAYER_COUNTS
 
 
 def test_determinism_variants_match_the_tests():
