@@ -134,9 +134,11 @@ class TestTrialTraceIdAndShape:
             with pytest.raises(ValueError, match="^trial_id must be non-empty$"):
                 make()
 
-    def test_shape_that_is_not_a_cv_shape_refused(self):
-        for make in self.forms("t", (3, 2)):
-            with pytest.raises(TypeError, match=re.escape("shape must be a CvShape, got (3, 2)")):
+    @pytest.mark.parametrize("shape", [(3, 2), None], ids=repr)
+    def test_shape_that_is_not_a_cv_shape_refused(self, shape):
+        for make in self.forms("t", shape):
+            message = f"shape must be a CvShape, got {shape!r}"
+            with pytest.raises(TypeError, match=re.escape(message)):
                 make()
 
 
@@ -308,9 +310,12 @@ class TestGenerationOracle:
         [
             dict(),
             dict(direction=Direction.MAXIMIZE),
+            dict(outlier_prob=0.3),
+            dict(direction=Direction.MAXIMIZE, outlier_prob=0.3),
             dict(zero_feature_prob=0.0),
             dict(zero_feature_prob=1.0),
             dict(outlier_prob=1.0),
+            dict(outlier_prob=1.0, direction=Direction.MAXIMIZE),
             dict(noise_sd=0.0, base_min=-0.0, base_max=-0.0),
             dict(noise_sd=0.0, base_min=-0.0, base_max=-0.0, direction=Direction.MAXIMIZE),
             dict(base_min=0.0, base_max=0.05, noise_sd=0.5),  # clamps at zero
@@ -409,10 +414,12 @@ class TestRoundTrip:
         "trials, message",
         [((), "cohort must contain at least one trial"),
          ((("same", SHAPE), ("same", SHAPE)), "duplicate trial id 'same' in cohort"),
+         ((("same", SHAPE), ("t1", SHAPE), ("same", SHAPE)),
+          "duplicate trial id 'same' in cohort"),
          ((("t0", SHAPE), ("t1", CvShape(4, 2))),
           "trial 't1' shape CvShape(outer_folds=4, inner_folds=2) "
           "differs from cohort shape CvShape(outer_folds=3, inner_folds=2)")],
-        ids=["empty", "duplicate", "mixed-shapes"],
+        ids=["empty", "duplicate", "duplicate-apart", "mixed-shapes"],
     )
     def test_refuses_a_cohort_read_traces_refuses(self, tmp_path, trials, message):
         # read back, an empty cohort has no step rows, a second trial of one id
@@ -427,12 +434,29 @@ class TestRoundTrip:
             write_traces(cohort, tmp_path / "cohort.csv")
         assert list(tmp_path.iterdir()) == []
 
-    def test_combined_keeps_ids_that_are_not_file_names(self, tmp_path):
+    # ids that name no file, or another file, keep their bytes in one trace file
+    @pytest.mark.parametrize("odd_id", ["../escaped", "a/b", ".", ".."])
+    def test_combined_keeps_ids_that_are_not_file_names(self, tmp_path, odd_id):
         template = generate_cohort(gen_config(trials=1))[0]
         columns = dict(metrics=template.metrics, features=template.features)
-        cohort = [TrialTrace(trial_id, template.shape, **columns) for trial_id in ("a/b", "..")]
+        cohort = [TrialTrace(trial_id, template.shape, **columns) for trial_id in (odd_id, "t")]
         write_traces(cohort, tmp_path / "cohort.csv")
         assert read_traces(tmp_path / "cohort.csv") == cohort
+
+    def test_directory_reads_files_of_any_plain_name(self, tmp_path):
+        # hidden and dotted names are read too, in file-name order
+        template = generate_cohort(gen_config(trials=1))[0]
+        columns = dict(metrics=template.metrics, features=template.features)
+        cohort = [
+            TrialTrace(trial_id, template.shape, **columns)
+            for trial_id in ("..x", ".hidden", "run 1", "x..y")
+        ]
+        write_directory(cohort, tmp_path / "traces")
+        assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == sorted(
+            f"{t.trial_id}.csv" for t in cohort
+        )
+        by_file_name = sorted(cohort, key=lambda t: f"{t.trial_id}.csv")
+        assert read_traces(tmp_path / "traces") == by_file_name
 
     # ids the writer must quote (",", '"', "\n", "\r"), and two it must not
     ODD_IDS = ("a,b", 'q"x', "l\nm", "c\rr", "x\r\ny", " sp ", "\u00fc")
@@ -471,6 +495,24 @@ class TestRoundTrip:
                 )
             )
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_one_trial_files_join_to_the_combined_file(self, tmp_path):
+        # a trial's rows do not depend on the trials written before it
+        cohort = generate_cohort(gen_config(trials=6))
+        for index, trial_id in enumerate(("a,b", 'q"x', " sp ", "\u00fc")):
+            trace = cohort[index]
+            cohort[index] = TrialTrace(
+                trial_id, trace.shape, metrics=trace.metrics, features=trace.features
+            )
+        write_traces(cohort, tmp_path / "cohort.csv")
+        write_directory(cohort, tmp_path / "traces")
+        header = (",".join(trace_module.TRACE_HEADER) + "\n").encode("utf-8")
+        bodies = []
+        for trace in cohort:
+            data = (tmp_path / "traces" / f"{trace.trial_id}.csv").read_bytes()
+            assert data.startswith(header)
+            bodies.append(data[len(header):])
+        assert (tmp_path / "cohort.csv").read_bytes() == header + b"".join(bodies)
 
     def test_writes_are_byte_identical(self, tmp_path):
         cohort = generate_cohort(gen_config())
