@@ -25,7 +25,7 @@ from .engine import (
     run_study,
     run_trial,
 )
-from .errors import FormatError, InvalidTrialStateError, TraceFormatError
+from .errors import FormatError, InvalidTrialStateError
 from .metrics import (
     Direction,
     ExtrapolationMethod,
@@ -71,7 +71,6 @@ __all__ = [
     "StepRecord",
     "StudyReport",
     "StudyState",
-    "TraceFormatError",
     "TraceGenConfig",
     "TrialOutcome",
     "TrialStatus",

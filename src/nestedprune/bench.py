@@ -99,9 +99,9 @@ class BenchReport:
 class BenchConfig:
     """Benchmark setup: variants to compare and where cohorts come from.
 
-    ``source`` is either a ``TraceGenConfig`` (repetition ``r`` generates a
-    fresh cohort with seed ``base_seed + r`` and ``trials_per_rep`` trials) or
-    a path to recorded traces, which is one cohort and so one repetition.
+    ``source`` is either a ``TraceGenConfig``, whose ``trials`` and ``seed`` must equal
+    ``trials_per_rep`` and ``base_seed`` (repetition ``r`` generates with seed ``seed + r``),
+    or a path to recorded traces, which is one cohort and so one repetition.
     """
 
     variants: Mapping[str, PrunerConfig]
@@ -127,6 +127,11 @@ class BenchConfig:
         if isinstance(self.source, TraceGenConfig):
             if self.source.direction not in directions:
                 raise ValueError("cohort generation direction must match the variants")
+            trials, seed = self.source.trials, self.source.seed
+            if (trials, seed) != (self.trials_per_rep, self.base_seed):
+                raise ValueError(f"source trials={trials}, seed={seed} disagree with "
+                                 f"trials_per_rep={self.trials_per_rep}, "
+                                 f"base_seed={self.base_seed}")
         elif self.repetitions != 1:
             raise ValueError(f"recorded traces are one cohort; repetitions must be 1, not "
                              f"{self.repetitions}")
@@ -183,18 +188,15 @@ def compare_pruners(config: BenchConfig) -> BenchReport:
     """
     trims = {variant.trim_fraction for variant in config.variants.values()}
     if isinstance(config.source, TraceGenConfig):
-        trials_per_rep = config.trials_per_rep
-        shape = config.source.shape
+        source = config.source
+        trials_per_rep, shape = source.trials, source.shape
         cohorts = (
-            generate_cohort(
-                replace(config.source, seed=config.base_seed + rep, trials=trials_per_rep)
-            )
+            generate_cohort(replace(source, seed=source.seed + rep))
             for rep in range(config.repetitions)
         )
     else:
         recorded = read_traces(config.source)
-        trials_per_rep = len(recorded)
-        shape = recorded[0].shape
+        trials_per_rep, shape = len(recorded), recorded[0].shape
         cohorts = [recorded]
 
     per_variant: dict[str, list[RepStats]] = {name: [] for name in config.variants}

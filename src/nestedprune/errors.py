@@ -34,11 +34,7 @@ class FormatError(ValueError):
         self.line = line
 
 
-class TraceFormatError(FormatError):
-    """Format error tied to a location in a trace file."""
-
-
-def not_utf8(path, error_type: type[FormatError] = FormatError) -> FormatError:
+def not_utf8(path) -> FormatError:
     """The error for a file that does not decode as UTF-8, at the line of its first bad byte.
 
     A decoder's offset counts from the chunk it was handed, not from the start
@@ -50,8 +46,16 @@ def not_utf8(path, error_type: type[FormatError] = FormatError) -> FormatError:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        return error_type(f"not UTF-8 text: {exc}", path=path, line=line)
-    return error_type("not UTF-8 text", path=path)  # the file changed since it failed
+        return FormatError(f"not UTF-8 text: {exc}", path=path, line=line)
+    return FormatError("not UTF-8 text", path=path)  # the file changed since it failed
+
+
+def check_trial_id(trial_id) -> None:
+    """A trial id is a non-empty ``str``: the rule of ``TrialTrace`` and of a live study."""
+    if not isinstance(trial_id, str):
+        raise TypeError(f"trial_id must be a str, got {trial_id!r}")
+    if not trial_id:
+        raise FormatError("trial_id must be non-empty")
 
 
 class InvalidTrialStateError(RuntimeError):

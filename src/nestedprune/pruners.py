@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import InvalidTrialStateError, check_fields
+from .errors import InvalidTrialStateError, check_fields, check_trial_id
 from .metrics import (
     Direction,
     ExtrapolationMethod,
@@ -321,7 +321,7 @@ def combined_decide(study: StudyState, trial_id: str, new_step: "StepRecord") ->
     trial reach each step once, so it records once per rung. The first prune
     wins and is recorded on the trial (``study.trials[trial_id].decision``,
     with its ``status``); reporting further steps for a pruned or completed
-    trial is an error.
+    trial is an error. A trial's first step checks its id: a non-empty ``str``.
 
     Calls hold ``study.lock``, so live callers may report from several
     threads (one per trial) into one study; replay calls from one thread.
@@ -335,6 +335,7 @@ def combined_decide(study: StudyState, trial_id: str, new_step: "StepRecord") ->
     try:
         state = study.trials.get(trial_id)
         if state is None:
+            check_trial_id(trial_id)
             state = study.trials[trial_id] = TrialRuntimeState()
         if state.status is not _RUNNING:
             raise InvalidTrialStateError(

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .engine import CvShape, StepRecord, _step_from_checked, check_cohort
-from .errors import TraceFormatError, check_fields, not_utf8
+from .errors import FormatError, check_fields, check_trial_id, not_utf8
 from .metrics import Direction
 
 TRACE_HEADER = ("trial_id", "outer_fold", "inner_fold", "metric", "n_selected_features")
@@ -104,10 +104,7 @@ class TrialTrace:
         metrics: Sequence[float] | None = None,
         features: Sequence[int] | None = None,
     ) -> None:
-        if not isinstance(trial_id, str):
-            raise TypeError(f"trial_id must be a str, got {trial_id!r}")
-        if not trial_id:
-            raise TraceFormatError("trial_id must be non-empty")
+        check_trial_id(trial_id)
         if not isinstance(shape, CvShape):
             raise TypeError(f"shape must be a CvShape, got {shape!r}")
         if steps is not None:
@@ -130,25 +127,25 @@ class TrialTrace:
         total = self.shape.total_steps
         for name, column in (("metrics", self.metrics), ("feature counts", self.features)):
             if len(column) != total:
-                raise TraceFormatError(
+                raise FormatError(
                     f"trial {self.trial_id!r} has {len(column)} {name}, expected {total}"
                 )
         if not all(map(math.isfinite, self.metrics)):
             bad = next(filterfalse(math.isfinite, self.metrics))
             position = self.shape.positions[self.metrics.index(bad)]
-            raise TraceFormatError(
+            raise FormatError(
                 f"trial {self.trial_id!r}: metric at step {position} must be finite, got {bad}"
             )
         # exactly int, as the file's integer field reads back; a bool is refused too
         if {*map(type, self.features)} != {int}:
             index = next(i for i, count in enumerate(self.features) if type(count) is not int)
-            raise TraceFormatError(
+            raise FormatError(
                 f"trial {self.trial_id!r}: selected_feature_count at step "
                 f"{self.shape.positions[index]} must be an int, got {self.features[index]!r}"
             )
         if min(self.features) < 0:
             index = next(i for i, count in enumerate(self.features) if count < 0)
-            raise TraceFormatError(
+            raise FormatError(
                 f"trial {self.trial_id!r}: selected_feature_count at step "
                 f"{self.shape.positions[index]} must be >= 0, got {self.features[index]}"
             )
@@ -172,7 +169,7 @@ class TrialTrace:
 def _check_steps(trial_id: str, shape: CvShape, steps: tuple[StepRecord, ...]) -> None:
     """Check the steps' ids and positions column by column; find a failing step only to name it."""
     if len(steps) != shape.total_steps:
-        raise TraceFormatError(
+        raise FormatError(
             f"trial {trial_id!r} has {len(steps)} steps, expected {shape.total_steps}"
         )
     # comprehensions, not map(attrgetter(...)): they read the slots faster
@@ -182,11 +179,9 @@ def _check_steps(trial_id: str, shape: CvShape, steps: tuple[StepRecord, ...]) -
         return
     for index, (step, expected) in enumerate(zip(steps, shape.positions)):
         if step.trial_id != trial_id:
-            raise TraceFormatError(
-                f"step {index} of trial {trial_id!r} carries id {step.trial_id!r}"
-            )
+            raise FormatError(f"step {index} of trial {trial_id!r} carries id {step.trial_id!r}")
         if (step.outer_idx, step.inner_idx) != expected:
-            raise TraceFormatError(
+            raise FormatError(
                 f"trial {trial_id!r}: step {index} is "
                 f"({step.outer_idx}, {step.inner_idx}), expected {expected}"
             )
@@ -282,17 +277,17 @@ def read_traces(path) -> list[TrialTrace]:
     if source.is_dir():
         files = sorted(source.glob("*.csv"))
         if not files:
-            raise TraceFormatError("no .csv trace files found", path=source)
+            raise FormatError("no .csv trace files found", path=source)
         cohort: list[TrialTrace] = []
         seen: set[str] = set()
         for file in files:
             for trace in _read_file(file):
                 if trace.trial_id in seen:
-                    raise TraceFormatError(
+                    raise FormatError(
                         f"duplicate trial id {trace.trial_id!r} across files", path=file
                     )
                 if cohort and trace.shape != cohort[0].shape:
-                    raise TraceFormatError(
+                    raise FormatError(
                         f"trial {trace.trial_id!r} shape {trace.shape} differs from "
                         f"cohort shape {cohort[0].shape}",
                         path=file,
@@ -316,7 +311,7 @@ def _read_file(path: Path) -> list[TrialTrace]:
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
-        raise TraceFormatError(f"cannot open trace file: {exc}", path=path) from exc
+        raise FormatError(f"cannot open trace file: {exc}", path=path) from exc
     columns = _Columns(path)
     try:
         with handle:
@@ -328,19 +323,19 @@ def _read_file(path: Path) -> list[TrialTrace]:
             if text is not None:
                 _read_csv(handle, text, columns, lines_before)
     except UnicodeDecodeError as exc:
-        raise not_utf8(path, TraceFormatError) from exc
+        raise not_utf8(path) from exc
     metrics, features = columns.metrics, columns.features
     outers, inners = columns.outers, columns.inners
     trial_ids, starts = columns.trial_ids, columns.starts
     if not metrics:
         # the header is line 1, and no row follows it
-        raise TraceFormatError("trace file contains no step rows", path=path, line=1)
+        raise FormatError("trace file contains no step rows", path=path, line=1)
     starts.append(len(metrics))
 
     seen: set[str] = set()
     for trial_id, start in zip(trial_ids, starts):
         if trial_id in seen:
-            raise TraceFormatError(
+            raise FormatError(
                 f"rows of trial {trial_id!r} must be contiguous",
                 path=path, line=_line_of(path, start),
             )
@@ -357,7 +352,7 @@ def _read_file(path: Path) -> list[TrialTrace]:
             # row-major order puts all of outer fold 0 first
             inner_folds = next((i for i, o in enumerate(outers[start:stop]) if o != 0), rows)
             if inner_folds == 0:
-                raise TraceFormatError(
+                raise FormatError(
                     f"trial {trial_id!r} must start at step (outer, inner)=(0, 0)",
                     path=path, line=_line_of(path, start),
                 )
@@ -372,7 +367,7 @@ def _read_file(path: Path) -> list[TrialTrace]:
                 i for i in range(rows)
                 if (outers[start + i], inners[start + i]) != (want_outers[i], want_inners[i])
             )
-            raise TraceFormatError(
+            raise FormatError(
                 f"trial {trial_id!r}: expected step (outer, inner)="
                 f"{(want_outers[index], want_inners[index])}, "
                 f"got ({outers[start + index]}, {inners[start + index]}); grid rows must be "
@@ -381,7 +376,7 @@ def _read_file(path: Path) -> list[TrialTrace]:
             )
         if shape is None:
             if rows % inner_folds != 0:
-                raise TraceFormatError(
+                raise FormatError(
                     f"trial {trial_id!r} ends mid inner loop: {rows} rows with "
                     f"{inner_folds} inner folds",
                     path=path, line=_line_of(path, stop - 1),
@@ -389,9 +384,9 @@ def _read_file(path: Path) -> list[TrialTrace]:
             try:
                 shape = CvShape(outer_folds=rows // inner_folds, inner_folds=inner_folds)
             except ValueError as exc:
-                raise TraceFormatError(str(exc), path=path, line=_line_of(path, stop - 1)) from exc
+                raise FormatError(str(exc), path=path, line=_line_of(path, stop - 1)) from exc
         elif rows != shape.total_steps:
-            raise TraceFormatError(
+            raise FormatError(
                 f"trial {trial_id!r} has {rows} rows, cohort shape "
                 f"{shape.outer_folds}x{shape.inner_folds} requires {shape.total_steps}",
                 path=path, line=_line_of(path, stop - 1),
@@ -458,9 +453,7 @@ def _read_csv(handle, text: str, columns: _Columns, lines_before: int) -> None:
         if not lines_before:
             header = next(reader, None)
             if header is None or tuple(header) != TRACE_HEADER:
-                raise TraceFormatError(
-                    f"header must be {','.join(TRACE_HEADER)}", path=path, line=1
-                )
+                raise FormatError(f"header must be {','.join(TRACE_HEADER)}", path=path, line=1)
         while True:
             rows = []
             rows.extend(islice(reader, _CSV_BLOCK_ROWS))  # keeps the rows read before an error
@@ -469,7 +462,7 @@ def _read_csv(handle, text: str, columns: _Columns, lines_before: int) -> None:
             columns.add_rows(rows)
     except csv.Error as exc:  # e.g. a quoted field that runs past the field size limit
         columns.add_rows(rows)
-        raise TraceFormatError(
+        raise FormatError(
             f"bad CSV: {exc}", path=path, line=lines_before + reader.line_num
         ) from exc
 
@@ -525,7 +518,7 @@ class _Columns:
         for index, row in enumerate(rows, start=len(self.metrics)):
             problem = _row_problem(row)
             if problem is not None:
-                raise TraceFormatError(problem, path=self.path, line=_line_of(self.path, index))
+                raise FormatError(problem, path=self.path, line=_line_of(self.path, index))
         raise AssertionError(f"{self.path}: a block failed its check, but none of its rows did")
 
 

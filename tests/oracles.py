@@ -21,7 +21,7 @@ from pathlib import Path
 from nestedprune import (
     CvShape,
     Direction,
-    TraceFormatError,
+    FormatError,
     TrialTrace,
     ExtrapolationMethod,
     StepRecord,
@@ -198,14 +198,14 @@ TRACE_HEADER = ("trial_id", "outer_fold", "inner_fold", "metric", "n_selected_fe
 def row_read_traces(path) -> list:
     """``read_traces`` of one file as a loop over ``csv.reader``'s rows, checking each as read.
 
-    The same cohort, or the same ``TraceFormatError`` text, path and line, as the
+    The same cohort, or the same ``FormatError`` text, path and line, as the
     library's block reader must give for every UTF-8 file.
     """
     path = Path(path)
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
-        raise TraceFormatError(f"cannot open trace file: {exc}", path=path) from exc
+        raise FormatError(f"cannot open trace file: {exc}", path=path) from exc
     metrics, features, outers, inners = [], [], [], []
     trial_ids, starts = [], []  # one per run of contiguous rows
     try:
@@ -213,7 +213,7 @@ def row_read_traces(path) -> list:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None or tuple(header) != TRACE_HEADER:
-                raise TraceFormatError(
+                raise FormatError(
                     f"header must be {','.join(TRACE_HEADER)}", path=path, line=1
                 )
             current = None
@@ -228,7 +228,7 @@ def row_read_traces(path) -> list:
                 except ValueError:
                     valid = False
                 if not valid:
-                    raise TraceFormatError(_row_problem(row), path=path, line=reader.line_num)
+                    raise FormatError(_row_problem(row), path=path, line=reader.line_num)
                 if trial_id != current:
                     current = trial_id
                     trial_ids.append(trial_id)
@@ -243,18 +243,18 @@ def row_read_traces(path) -> list:
             data.decode("utf-8")
         except UnicodeDecodeError as whole:
             line = data.count(b"\n", 0, whole.start) + 1
-            raise TraceFormatError(f"not UTF-8 text: {whole}", path=path, line=line) from exc
+            raise FormatError(f"not UTF-8 text: {whole}", path=path, line=line) from exc
         raise
     except csv.Error as exc:
-        raise TraceFormatError(f"bad CSV: {exc}", path=path, line=reader.line_num) from exc
+        raise FormatError(f"bad CSV: {exc}", path=path, line=reader.line_num) from exc
     if not metrics:
-        raise TraceFormatError("trace file contains no step rows", path=path, line=1)
+        raise FormatError("trace file contains no step rows", path=path, line=1)
     starts.append(len(metrics))
 
     seen = set()
     for trial_id, start in zip(trial_ids, starts):
         if trial_id in seen:
-            raise TraceFormatError(
+            raise FormatError(
                 f"rows of trial {trial_id!r} must be contiguous",
                 path=path, line=_line_of(path, start),
             )
@@ -269,7 +269,7 @@ def row_read_traces(path) -> list:
         else:
             inner_folds = next((i for i, o in enumerate(outers[start:stop]) if o != 0), rows)
             if inner_folds == 0:
-                raise TraceFormatError(
+                raise FormatError(
                     f"trial {trial_id!r} must start at step (outer, inner)=(0, 0)",
                     path=path, line=_line_of(path, start),
                 )
@@ -277,14 +277,14 @@ def row_read_traces(path) -> list:
             expected = divmod(index, inner_folds)
             got = (outers[start + index], inners[start + index])
             if got != expected:
-                raise TraceFormatError(
+                raise FormatError(
                     f"trial {trial_id!r}: expected step (outer, inner)={expected}, "
                     f"got {got}; grid rows must be complete, unique, and in row-major order",
                     path=path, line=_line_of(path, start + index),
                 )
         if shape is None:
             if rows % inner_folds != 0:
-                raise TraceFormatError(
+                raise FormatError(
                     f"trial {trial_id!r} ends mid inner loop: {rows} rows with "
                     f"{inner_folds} inner folds",
                     path=path, line=_line_of(path, stop - 1),
@@ -292,9 +292,9 @@ def row_read_traces(path) -> list:
             try:
                 shape = CvShape(outer_folds=rows // inner_folds, inner_folds=inner_folds)
             except ValueError as exc:
-                raise TraceFormatError(str(exc), path=path, line=_line_of(path, stop - 1)) from exc
+                raise FormatError(str(exc), path=path, line=_line_of(path, stop - 1)) from exc
         elif rows != shape.total_steps:
-            raise TraceFormatError(
+            raise FormatError(
                 f"trial {trial_id!r} has {rows} rows, cohort shape "
                 f"{shape.outer_folds}x{shape.inner_folds} requires {shape.total_steps}",
                 path=path, line=_line_of(path, stop - 1),

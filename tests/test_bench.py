@@ -48,7 +48,7 @@ def objectives(cohort, trim_fraction=0.2):
 
 
 def gen_config(**overrides):
-    base = dict(trials=8, shape=SHAPE, seed=3)
+    base = dict(trials=6, shape=SHAPE, seed=11)
     base.update(overrides)
     return TraceGenConfig(**base)
 
@@ -80,11 +80,11 @@ def bench_config(**overrides):
 
 class TestBenchConfig:
     def test_baseline_must_be_a_variant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^baseline 'missing' is not among the variants$"):
             bench_config(baseline="missing")
 
     def test_variants_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^at least one pruner variant is required$"):
             bench_config(variants={})
 
     def test_directions_must_agree(self):
@@ -93,16 +93,29 @@ class TestBenchConfig:
             semantic_enabled=False,
             threshold_enabled=False,
         )
-        with pytest.raises(ValueError):
+        message = "^all variants must share one optimization direction$"
+        with pytest.raises(ValueError, match=message):
             bench_config(variants={"none": NO_LAYERS, "flipped": flipped})
 
     def test_generation_direction_must_match(self):
-        with pytest.raises(ValueError):
+        message = "^cohort generation direction must match the variants$"
+        with pytest.raises(ValueError, match=message):
             bench_config(source=gen_config(direction=Direction.MAXIMIZE))
 
     def test_repetitions_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^repetitions must be >= 1$"):
             bench_config(repetitions=0)
+
+    # the generated source is the one description of each repetition's cohort
+    def test_generated_trials_must_match(self):
+        message = "^source trials=3, seed=11 disagree with trials_per_rep=6, base_seed=11$"
+        with pytest.raises(ValueError, match=message):
+            bench_config(source=gen_config(trials=3))
+
+    def test_generated_seed_must_match(self):
+        message = "^source trials=6, seed=5 disagree with trials_per_rep=6, base_seed=11$"
+        with pytest.raises(ValueError, match=message):
+            bench_config(source=gen_config(seed=5))
 
 
 class TestClassifyFalsePrunes:
@@ -201,7 +214,7 @@ class TestComparePruners:
                                        optimal_value=0.0, asha=asha),
             },
             baseline="asha",
-            source=gen_config(shape=CvShape(outer_folds=30, inner_folds=10)),
+            source=gen_config(trials=40, seed=42, shape=CvShape(outer_folds=30, inner_folds=10)),
             repetitions=3,
             trials_per_rep=40,
             base_seed=42,

@@ -19,6 +19,9 @@ VARIANTS = {
 # determinism job of .github/workflows/tests.yml, which writes VARIANTS
 TRACES_REPORT_JSON_SHA256 = "e201bb8b0c3478f9cca2b33000edd471b3916f91c7c9b43b2e1968333bc0ed0a"
 TRACES_REPORT_CSV_SHA256 = "6baa6f23833cfdec3e222165da119d4948f6d3b75dadf44b5a94adaeef08c1b1"
+# the stdout of replaying that cohort under three-layer (REPLAY_ARGS); the same job pins it
+REPLAY_ARGS = ["--pruner", "three-layer", "--threshold", "0.45", "--extrapolation", "mean-dev"]
+REPLAY_STDOUT_SHA256 = "9e39d446df35f5136312850031b31c7d4b65bd9aa04413d25b3ea2b4b714d406"
 
 
 def write_variants(tmp_path, data=None, name="variants.json"):
@@ -139,6 +142,14 @@ class TestReplay:
                 "--min-early-stopping-rate", str(10**9)]
         assert main(args) == 1
         assert "rung 0 resource exceeds representable range" in capsys.readouterr().err
+
+    def test_criterion_1_replay_bytes(self, tmp_path, capsys):
+        traces = tmp_path / "cohort.csv"
+        assert main(gen_args(traces, trials=40, outer=30, inner=10, seed=42)) == 0
+        capsys.readouterr()
+        assert main(["replay", "--traces", str(traces), *REPLAY_ARGS]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == REPLAY_STDOUT_SHA256
 
     def test_maximize_direction(self, traces, capsys):
         args = ["replay", "--traces", traces, "--pruner", "threshold",

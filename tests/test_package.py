@@ -1,12 +1,15 @@
-"""The package as a whole: what importing it loads, and what re-importing it leaves alive.
+"""The package as a whole: the names its root exports, what importing it loads, and
+what re-importing it leaves alive.
 
-Each test runs a fresh interpreter, so the modules this test process has loaded
-already do not hide what the package itself loads.
+The import tests run a fresh interpreter, so the modules this test process has
+loaded already do not hide what the package itself loads.
 """
 
 import subprocess
 import sys
 from pathlib import Path
+
+import nestedprune
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -68,3 +71,22 @@ def test_reimports_keep_no_old_package_alive():
     # a typing generic in a hint get_type_hints evaluates lands in typing's
     # module-level cache, which then keeps each imported copy alive
     assert run_script(REIMPORTS) == "1 1"
+
+
+# the public surface; a name leaves or joins it only by editing this list
+PUBLIC_NAMES = [
+    "AshaConfig", "BenchConfig", "BenchReport", "CONTINUE", "CvShape", "Decision", "Direction",
+    "ExtrapolationMethod", "FalsePruneRecord", "FormatError", "InvalidTrialStateError",
+    "MetricHistory", "PruneLayer", "PrunerConfig", "RepStats", "StepRecord", "StudyReport",
+    "StudyState", "TraceGenConfig", "TrialOutcome", "TrialStatus", "TrialTrace",
+    "VariantReport", "asha_record_and_decide", "classify_false_prunes", "combined_decide",
+    "compare_pruners", "emit_report", "extrapolate", "full_objective", "generate_cohort",
+    "load_report", "median", "read_traces", "reported_value_on_prune", "run_study",
+    "run_trial", "semantic_decide", "threshold_decide", "trimmed_mean", "write_traces",
+]
+
+
+def test_root_exports_exactly_the_public_names():
+    assert sorted(nestedprune.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(nestedprune, name) is not None, name

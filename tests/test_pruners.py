@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import threading
 import time
 
@@ -23,6 +24,7 @@ from nestedprune import (
     Decision,
     Direction,
     ExtrapolationMethod,
+    FormatError,
     InvalidTrialStateError,
     PruneLayer,
     PrunerConfig,
@@ -540,6 +542,24 @@ class TestCombinedDecide:
         study = make_study()
         with pytest.raises(InvalidTrialStateError):
             combined_decide(study, "t0", step(trial="other"))
+
+    @pytest.mark.parametrize(
+        "trial_id, error, message",
+        [
+            (None, TypeError, "trial_id must be a str, got None"),
+            (b"x", TypeError, "trial_id must be a str, got b'x'"),
+            (7, TypeError, "trial_id must be a str, got 7"),
+            ("", FormatError, "trial_id must be non-empty"),
+        ],
+        ids=["None", "bytes", "int", "empty"],
+    )
+    def test_trial_id_that_is_not_a_non_empty_str_refused(self, trial_id, error, message):
+        # the rule TrialTrace holds; once these each made a trial of the study
+        study = make_study(outer=2, inner=2)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            combined_decide(study, trial_id, StepRecord(trial_id, 0, 0, 0.4, 3))
+        assert study.trials == {}
+        assert not study.lock.locked()
 
     def test_disabled_layers_are_skipped(self):
         study = make_study(

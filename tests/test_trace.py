@@ -22,9 +22,9 @@ import nestedprune.trace as trace_module
 from nestedprune import (
     CvShape,
     Direction,
+    FormatError,
     PrunerConfig,
     StepRecord,
-    TraceFormatError,
     TraceGenConfig,
     TrialTrace,
     generate_cohort,
@@ -81,21 +81,21 @@ class TestTrialTraceInvariants:
         steps = tuple(
             StepRecord("t", i // 2, i % 2, 0.5, 3) for i in range(4)
         )
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(FormatError):
             TrialTrace(trial_id="t", shape=SHAPE, steps=steps)
 
     def test_out_of_order_steps_rejected(self):
         steps = [StepRecord("t", i // 2, i % 2, 0.5, 3) for i in range(6)]
         steps[2], steps[3] = steps[3], steps[2]
         with pytest.raises(
-            TraceFormatError, match=r"^trial 't': step 2 is \(1, 1\), expected \(1, 0\)$"
+            FormatError, match=r"^trial 't': step 2 is \(1, 1\), expected \(1, 0\)$"
         ):
             TrialTrace(trial_id="t", shape=SHAPE, steps=tuple(steps))
 
     def test_foreign_step_id_rejected(self):
         steps = [StepRecord("t", i // 2, i % 2, 0.5, 3) for i in range(6)]
         steps[4] = StepRecord("other", 2, 0, 0.5, 3)
-        with pytest.raises(TraceFormatError, match="^step 4 of trial 't' carries id 'other'$"):
+        with pytest.raises(FormatError, match="^step 4 of trial 't' carries id 'other'$"):
             TrialTrace(trial_id="t", shape=SHAPE, steps=tuple(steps))
 
     def test_first_failing_step_is_named(self):
@@ -103,10 +103,10 @@ class TestTrialTraceInvariants:
         steps = [StepRecord("t", i // 2, i % 2, 0.5, 3) for i in range(6)]
         steps[1] = StepRecord("t", 0, 0, 0.5, 3)
         steps[3] = StepRecord("other", 1, 1, 0.5, 3)
-        with pytest.raises(TraceFormatError, match=r"^trial 't': step 1 is \(0, 0\)"):
+        with pytest.raises(FormatError, match=r"^trial 't': step 1 is \(0, 0\)"):
             TrialTrace(trial_id="t", shape=SHAPE, steps=tuple(steps))
         steps[1] = StepRecord("other", 0, 0, 0.5, 3)
-        with pytest.raises(TraceFormatError, match="^step 1 of trial 't' carries id 'other'$"):
+        with pytest.raises(FormatError, match="^step 1 of trial 't' carries id 'other'$"):
             TrialTrace(trial_id="t", shape=SHAPE, steps=tuple(steps))
 
 
@@ -160,20 +160,20 @@ class TestTrialTraceColumns:
          ([math.nan] + [0.5] * 5, None), (None, [3] * 5 + [-1])],
     )
     def test_bad_columns_rejected(self, metrics, features):
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(FormatError):
             TrialTrace("t", SHAPE, **self.columns(metrics, features))
 
     def test_non_finite_metric_names_its_step(self):
         metrics = [0.5] * 6
         metrics[3] = math.inf
-        with pytest.raises(TraceFormatError, match=r"step \(1, 1\) must be finite, got inf"):
+        with pytest.raises(FormatError, match=r"step \(1, 1\) must be finite, got inf"):
             TrialTrace("t", SHAPE, **self.columns(metrics))
 
     @pytest.mark.parametrize("count", [1.5, True, 2.0], ids=repr)
     def test_count_that_is_not_an_int_names_its_step(self, count):
         # once accepted and written; read_traces then refused the file's integer field
         with pytest.raises(
-            TraceFormatError,
+            FormatError,
             match=rf"^trial 't': selected_feature_count at step \(0, 0\) must be an int, "
             rf"got {count!r}$",
         ):
@@ -547,7 +547,7 @@ def rows_for(trial_id, shape, metric="0.5"):
 class TestFormatErrors:
     def test_header_mismatch(self, tmp_path):
         path = write_text(tmp_path, "a,b,c\nx,0,0\n")
-        with pytest.raises(TraceFormatError) as err:
+        with pytest.raises(FormatError) as err:
             read_traces(path)
         assert "line 1" in str(err.value)
 
@@ -555,7 +555,7 @@ class TestFormatErrors:
         rows = rows_for("t0", SHAPE)
         del rows[3]  # drop step (1, 1)
         path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(TraceFormatError) as err:
+        with pytest.raises(FormatError) as err:
             read_traces(path)
         assert "line 5" in str(err.value)
 
@@ -563,7 +563,7 @@ class TestFormatErrors:
         rows = rows_for("t0", SHAPE)
         rows.insert(1, rows[0])
         path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(TraceFormatError) as err:
+        with pytest.raises(FormatError) as err:
             read_traces(path)
         assert "line 3" in str(err.value)
 
@@ -571,20 +571,20 @@ class TestFormatErrors:
         rows = rows_for("t0", SHAPE) + rows_for("t1", SHAPE)
         rows[5], rows[11] = rows[11], rows[5]
         path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(FormatError):
             read_traces(path)
 
     def test_truncated_trial_rejected(self, tmp_path):
         rows = rows_for("t0", SHAPE)[:-1]
         path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(FormatError):
             read_traces(path)
 
     def test_non_finite_metric_rejected(self, tmp_path):
         rows = rows_for("t0", SHAPE)
         rows[2] = "t0,1,0,nan,3"
         path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(TraceFormatError) as err:
+        with pytest.raises(FormatError) as err:
             read_traces(path)
         assert "line 4" in str(err.value)
 
@@ -592,26 +592,26 @@ class TestFormatErrors:
         rows = rows_for("t0", SHAPE)
         rows[0] = "t0,zero,0,0.5,3"
         path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(TraceFormatError) as err:
+        with pytest.raises(FormatError) as err:
             read_traces(path)
         assert "line 2" in str(err.value)
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = write_text(tmp_path, HEADER + "\nt0,0,0,0.5\n")
-        with pytest.raises(TraceFormatError) as err:
+        with pytest.raises(FormatError) as err:
             read_traces(path)
         assert "line 2" in str(err.value)
 
     def test_empty_file_rejected(self, tmp_path):
         path = write_text(tmp_path, HEADER + "\n")
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(FormatError):
             read_traces(path)
 
     def test_inconsistent_second_trial_rejected(self, tmp_path):
         other = CvShape(outer_folds=2, inner_folds=2)
         rows = rows_for("t0", SHAPE) + rows_for("t1", other)
         path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(FormatError):
             read_traces(path)
 
     def test_duplicate_trial_across_files_rejected(self, tmp_path):
@@ -620,22 +620,22 @@ class TestFormatErrors:
         text = HEADER + "\n" + "\n".join(rows_for("t0", SHAPE)) + "\n"
         (target / "a.csv").write_text(text, encoding="utf-8")
         (target / "b.csv").write_text(text, encoding="utf-8")
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(FormatError):
             read_traces(target)
 
     def test_empty_directory_rejected(self, tmp_path):
         target = tmp_path / "traces"
         target.mkdir()
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(FormatError):
             read_traces(target)
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(FormatError):
             read_traces(tmp_path / "nope.csv")
 
     def test_header_alone_names_line_1(self, tmp_path):
         path = write_text(tmp_path, HEADER + "\n")
-        with pytest.raises(TraceFormatError) as err:
+        with pytest.raises(FormatError) as err:
             read_traces(path)
         assert (err.value.path, err.value.line) == (path, 1)
         assert str(err.value) == f"{path}: line 1: trace file contains no step rows"
@@ -645,7 +645,7 @@ class TestFormatErrors:
         rows = rows_for("t0", SHAPE)
         rows[1] = 't0,0,1,"0.5' + "9" * 200_000
         path = write_text(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(TraceFormatError) as err:
+        with pytest.raises(FormatError) as err:
             read_traces(path)
         assert err.value.path == path
         assert str(err.value).startswith(f"{path}: line {err.value.line}: bad CSV: field larger")
@@ -660,7 +660,7 @@ class TestFormatErrors:
         path.write_bytes(data)
         try:
             read_traces(path)
-        except TraceFormatError as exc:
+        except FormatError as exc:
             assert exc.path == path
             assert 1 <= exc.line <= data.count(b"\n") + 1
             assert str(exc).startswith(f"{path}: line {exc.line}: ")
@@ -673,7 +673,7 @@ class TestFormatErrors:
         path = tmp_path / "traces.csv"
         path.write_bytes(b"\n".join(lines))
         assert path.stat().st_size > 8192
-        with pytest.raises(TraceFormatError) as err:
+        with pytest.raises(FormatError) as err:
             read_traces(path)
         assert (err.value.path, err.value.line) == (path, 1000)
         assert str(err.value).startswith(f"{path}: line 1000: not UTF-8 text")
@@ -701,7 +701,7 @@ def cohort_and_bytes(trials: int, renamed: tuple[tuple[int, str], ...] = ()):
 def read_or_error(reader, path):
     try:
         return reader(path)
-    except TraceFormatError as exc:
+    except FormatError as exc:
         return exc
 
 
@@ -746,12 +746,12 @@ class TestBlockReaderParity:
             data.decode("utf-8")
         except UnicodeDecodeError:
             # which error comes first depends on where the decoder's chunks end
-            assert isinstance(got, TraceFormatError) and got.path == path
+            assert isinstance(got, FormatError) and got.path == path
             assert 1 <= got.line <= data.count(b"\n") + 1
             return
         want = read_or_error(oracles.row_read_traces, path)
-        if isinstance(want, TraceFormatError):
-            assert isinstance(got, TraceFormatError), f"read, but the row reader says: {want}"
+        if isinstance(want, FormatError):
+            assert isinstance(got, FormatError), f"read, but the row reader says: {want}"
             assert (str(got), got.path, got.line) == (str(want), want.path, want.line)
         else:
             assert got == want
@@ -768,8 +768,8 @@ class TestBlockReaderEdges:
     """Files the block reader must read, or refuse, as the row-by-row reader did."""
 
     @staticmethod
-    def refused(path) -> TraceFormatError:
-        with pytest.raises(TraceFormatError) as err:
+    def refused(path) -> FormatError:
+        with pytest.raises(FormatError) as err:
             read_traces(path)
         assert err.value.path == path
         return err.value

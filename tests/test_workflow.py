@@ -13,7 +13,13 @@ import re
 from pathlib import Path
 
 from test_acceptance import CRITERION_1_LAYER_COUNTS
-from test_cli import TRACES_REPORT_CSV_SHA256, TRACES_REPORT_JSON_SHA256, VARIANTS
+from test_cli import (
+    REPLAY_ARGS,
+    REPLAY_STDOUT_SHA256,
+    TRACES_REPORT_CSV_SHA256,
+    TRACES_REPORT_JSON_SHA256,
+    VARIANTS,
+)
 from test_trace import CRITERION_1_COHORT_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,7 +39,15 @@ def test_determinism_digests_match_the_tests():
         "cohort.csv": CRITERION_1_COHORT_SHA256,
         "report.json": TRACES_REPORT_JSON_SHA256,
         "report.csv": TRACES_REPORT_CSV_SHA256,
+        "replay.txt": REPLAY_STDOUT_SHA256,
     }
+
+
+def test_determinism_replay_arguments_match_the_tests():
+    replay = re.search(r"nestedprune.cli replay --traces \"\$out/cohort.csv\" ([^>]*)"
+                       r"> \"\$out/replay.txt\"", workflow_text())
+    assert replay is not None
+    assert [arg for arg in replay.group(1).split() if arg != "\\"] == REPLAY_ARGS
 
 
 def test_reference_layer_counts_match_the_tests():
