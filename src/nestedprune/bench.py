@@ -95,21 +95,25 @@ class BenchReport:
         check_fields(self)
 
 
+REPETITIONS = 30  # of a generated source, unless told otherwise
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """Benchmark setup: variants to compare and where cohorts come from.
 
-    ``source`` is either a ``TraceGenConfig``, whose ``trials`` and ``seed`` must equal
-    ``trials_per_rep`` and ``base_seed`` (repetition ``r`` generates with seed ``seed + r``),
-    or a path to recorded traces, which is one cohort and so one repetition.
+    ``source`` decides the other three fields, which store what it decides; a value given
+    anyway must agree. A ``TraceGenConfig`` gives ``trials`` trials per repetition, seed
+    ``seed + r`` for repetition ``r``, and ``REPETITIONS`` repetitions unless told otherwise.
+    Recorded traces are one cohort, so one repetition, and leave the other two None.
     """
 
     variants: Mapping[str, PrunerConfig]
     baseline: str
     source: TraceGenConfig | str | Path
-    repetitions: int = 30
-    trials_per_rep: int = 40
-    base_seed: int = 0
+    repetitions: int | None = None
+    trials_per_rep: int | None = None
+    base_seed: int | None = None
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -117,24 +121,26 @@ class BenchConfig:
             raise ValueError("at least one pruner variant is required")
         if self.baseline not in self.variants:
             raise ValueError(f"baseline {self.baseline!r} is not among the variants")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.trials_per_rep < 1:
-            raise ValueError("trials_per_rep must be >= 1")
         directions = {config.direction for config in self.variants.values()}
         if len(directions) != 1:
             raise ValueError("all variants must share one optimization direction")
         if isinstance(self.source, TraceGenConfig):
             if self.source.direction not in directions:
                 raise ValueError("cohort generation direction must match the variants")
-            trials, seed = self.source.trials, self.source.seed
-            if (trials, seed) != (self.trials_per_rep, self.base_seed):
-                raise ValueError(f"source trials={trials}, seed={seed} disagree with "
-                                 f"trials_per_rep={self.trials_per_rep}, "
-                                 f"base_seed={self.base_seed}")
-        elif self.repetitions != 1:
-            raise ValueError(f"recorded traces are one cohort; repetitions must be 1, not "
-                             f"{self.repetitions}")
+            repetitions = REPETITIONS if self.repetitions is None else self.repetitions
+            if repetitions < 1:
+                raise ValueError("repetitions must be >= 1")
+            decided = {"trials_per_rep": self.source.trials, "base_seed": self.source.seed}
+        else:
+            if self.repetitions not in (None, 1):
+                raise ValueError(f"recorded traces are one cohort; repetitions must be 1, not "
+                                 f"{self.repetitions}")
+            repetitions, decided = 1, {"trials_per_rep": None, "base_seed": None}
+        object.__setattr__(self, "repetitions", repetitions)
+        for name, value in decided.items():
+            if getattr(self, name) not in (None, value):
+                raise ValueError(f"the source gives {name}={value}, not {getattr(self, name)}")
+            object.__setattr__(self, name, value)
 
 
 def classify_false_prunes(

@@ -7,7 +7,8 @@ import dataclasses
 import sys
 from typing import get_type_hints
 
-from .bench import BenchConfig, compare_pruners, emit_report, from_json, load_report, read_json
+from .bench import (REPETITIONS, BenchConfig, compare_pruners, emit_report, from_json,
+                    load_report, read_json)
 from .engine import CvShape, StudyReport, run_study
 from .errors import FormatError
 from .metrics import Direction, ExtrapolationMethod
@@ -15,6 +16,7 @@ from .pruners import AshaConfig, PrunerConfig
 from .trace import TraceGenConfig, generate_cohort, read_traces, write_traces
 
 _DIRECTIONS = {"min": Direction.MINIMIZE, "max": Direction.MAXIMIZE}
+_BENCH_TRIALS, _BENCH_BASE_SEED = 40, 0  # bench's generated cohort when the flag is omitted
 
 _PRUNER_PRESETS = {
     # preset -> (semantic, threshold, comparison)
@@ -128,16 +130,13 @@ def build_parser() -> _Parser:
 
     bench = sub.add_parser("bench", help="compare pruner variants over repeated studies")
     bench.add_argument("--reps", type=int, default=None,
-                       help="repetitions (default "
-                            f"{_default(BenchConfig, 'repetitions')}; with --traces, only 1)")
+                       help=f"repetitions (default {REPETITIONS}; with --traces, only 1)")
     bench.add_argument("--trials", type=int, default=None,
-                       help="trials per repetition "
-                            f"(default {_default(BenchConfig, 'trials_per_rep')})")
+                       help=f"trials per repetition (default {_BENCH_TRIALS})")
     bench.add_argument("--outer", type=int, default=None, help="outer folds (generated cohorts)")
     bench.add_argument("--inner", type=int, default=None, help="inner folds (generated cohorts)")
     bench.add_argument("--base-seed", type=int, default=None,
-                       help="repetition r uses seed base+r "
-                            f"(default {_default(BenchConfig, 'base_seed')})")
+                       help=f"repetition r uses seed base+r (default {_BENCH_BASE_SEED})")
     bench.add_argument("--direction", choices=sorted(_DIRECTIONS), default="min",
                        help="optimization direction (default %(default)s)")
     bench.add_argument("--traces", default=None,
@@ -245,30 +244,22 @@ def _load_variants(path: str, default_direction: Direction) -> dict[str, PrunerC
 def _cmd_bench(args) -> int:
     direction = _DIRECTIONS[args.direction]
     variants = _load_variants(args.variants, direction)
-    trials = _default(BenchConfig, "trials_per_rep") if args.trials is None else args.trials
-    base_seed = _default(BenchConfig, "base_seed") if args.base_seed is None else args.base_seed
-    default_reps = 1 if args.traces is not None else _default(BenchConfig, "repetitions")
-    reps = default_reps if args.reps is None else args.reps
     if args.traces is not None:
         for dest in ("trials", "outer", "inner", "base_seed") + _GEN_FIELDS:
             if getattr(args, dest) is not None:
                 raise ValueError(f"{_flag(dest)} applies to generated cohorts only, "
                                  "not with --traces")
-        if reps > 1:
-            raise ValueError(f"--reps {reps} would replay the one recorded cohort {reps} times; "
-                             "use --reps 1 with --traces")
+        if args.reps not in (None, 1):
+            raise ValueError(f"--reps must be 1 with --traces, not {args.reps}")
         source = args.traces
     else:
         if args.outer is None or args.inner is None:
             raise ValueError("--outer and --inner are required unless --traces is given")
+        trials = _BENCH_TRIALS if args.trials is None else args.trials
+        base_seed = _BENCH_BASE_SEED if args.base_seed is None else args.base_seed
         source = _trace_gen_config(args, trials=trials, seed=base_seed, direction=direction)
     config = BenchConfig(
-        variants=variants,
-        baseline=args.baseline,
-        source=source,
-        repetitions=reps,
-        trials_per_rep=trials,
-        base_seed=base_seed,
+        variants=variants, baseline=args.baseline, source=source, repetitions=args.reps
     )
     report = compare_pruners(config)
     emit_report(report, "json", args.out)

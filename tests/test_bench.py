@@ -71,8 +71,6 @@ def bench_config(**overrides):
         baseline="none",
         source=gen_config(),
         repetitions=2,
-        trials_per_rep=6,
-        base_seed=11,
     )
     base.update(overrides)
     return BenchConfig(**base)
@@ -108,14 +106,39 @@ class TestBenchConfig:
 
     # the generated source is the one description of each repetition's cohort
     def test_generated_trials_must_match(self):
-        message = "^source trials=3, seed=11 disagree with trials_per_rep=6, base_seed=11$"
+        message = "^the source gives trials_per_rep=3, not 6$"
         with pytest.raises(ValueError, match=message):
-            bench_config(source=gen_config(trials=3))
+            bench_config(source=gen_config(trials=3), trials_per_rep=6, base_seed=11)
 
     def test_generated_seed_must_match(self):
-        message = "^source trials=6, seed=5 disagree with trials_per_rep=6, base_seed=11$"
+        message = "^the source gives base_seed=5, not 11$"
         with pytest.raises(ValueError, match=message):
-            bench_config(source=gen_config(seed=5))
+            bench_config(source=gen_config(seed=5), trials_per_rep=6, base_seed=11)
+
+    # the source decides what it fixes; nothing needs restating
+    def test_generated_source_decides_cohort(self):
+        config = BenchConfig({"a": THRESHOLD_ONLY}, "a", gen_config(trials=10, seed=0))
+        assert (config.repetitions, config.trials_per_rep, config.base_seed) == (30, 10, 0)
+
+    def test_recorded_source_decides_one_repetition(self):
+        config = BenchConfig({"a": THRESHOLD_ONLY}, "a", "p.csv")
+        assert (config.repetitions, config.trials_per_rep, config.base_seed) == (1, None, None)
+
+    @pytest.mark.parametrize("name, value", [("trials_per_rep", 7), ("base_seed", 3)])
+    def test_recorded_source_refuses_cohort_fields(self, name, value):
+        # both were once taken and ignored: the file decides its own cohort
+        message = f"^the source gives {name}=None, not {value}$"
+        with pytest.raises(ValueError, match=message):
+            BenchConfig({"a": THRESHOLD_ONLY}, "a", "p.csv", repetitions=1, **{name: value})
+
+    def test_restated_values_change_nothing(self):
+        # the benchmark's reference call restates the source's 40 trials and seed 42
+        variants = {"asha": NO_LAYERS, "three-layer": THRESHOLD_ONLY}
+        source = gen_config(trials=40, seed=42, shape=CvShape(outer_folds=30, inner_folds=10))
+        restated = BenchConfig(variants, "asha", source, repetitions=30, trials_per_rep=40,
+                               base_seed=42)
+        assert restated == BenchConfig(variants, "asha", source)
+        assert repr(restated) == repr(BenchConfig(variants, "asha", source))
 
 
 class TestClassifyFalsePrunes:

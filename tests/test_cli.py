@@ -22,6 +22,10 @@ TRACES_REPORT_CSV_SHA256 = "6baa6f23833cfdec3e222165da119d4948f6d3b75dadf44b5a94
 # the stdout of replaying that cohort under three-layer (REPLAY_ARGS); the same job pins it
 REPLAY_ARGS = ["--pruner", "three-layer", "--threshold", "0.45", "--extrapolation", "mean-dev"]
 REPLAY_STDOUT_SHA256 = "9e39d446df35f5136312850031b31c7d4b65bd9aa04413d25b3ea2b4b714d406"
+# the report of a generated bench run (GENERATED_ARGS, VARIANTS, baseline asha) that takes
+# the CLI's default --trials and --base-seed; the same job pins it
+GENERATED_ARGS = ["--reps", "3", "--outer", "6", "--inner", "4"]
+GENERATED_REPORT_SHA256 = "c4444eae8e9d759cb36d273fbdf61af4a62acff5eb18ea5df2d87f70f8e935a8"
 
 
 def write_variants(tmp_path, data=None, name="variants.json"):
@@ -237,6 +241,18 @@ class TestBench:
         assert "--reps" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_traces_reject_fewer_than_one_rep(self, reps, tmp_path, capsys):
+        # the library's "repetitions must be >= 1" named no flag
+        traces = tmp_path / "t.csv"
+        main(gen_args(traces, trials=4, outer=6, inner=4))
+        args = ["bench", "--reps", reps, "--traces", str(traces),
+                "--variants", write_variants(tmp_path), "--baseline", "asha",
+                "--out", str(tmp_path / "r.json")]
+        assert main(args) == 1
+        assert f"error: --reps must be 1 with --traces, not {reps}\n" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_undecodable_variants_name_file_and_line(self, tmp_path, capsys):
         variants = tmp_path / "variants.json"
         variants.write_bytes(
@@ -263,6 +279,13 @@ class TestBench:
                      "--out", str(report_csv)]) == 0
         assert hashlib.sha256(report_json.read_bytes()).hexdigest() == TRACES_REPORT_JSON_SHA256
         assert hashlib.sha256(report_csv.read_bytes()).hexdigest() == TRACES_REPORT_CSV_SHA256
+
+    def test_generated_report_bytes(self, tmp_path):
+        # digest taken before the library's BenchConfig lost its default cohort
+        out = tmp_path / "generated.json"
+        assert main(["bench", *GENERATED_ARGS, "--variants", write_variants(tmp_path),
+                     "--baseline", "asha", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATED_REPORT_SHA256
 
     @pytest.mark.parametrize("flag", [
         "--trials", "--outer", "--inner", "--base-seed", "--noise-sd", "--outlier-prob",

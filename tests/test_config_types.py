@@ -70,6 +70,7 @@ VALID = {
 # no mapping at all for a mapping
 WRONG = {
     int: ["3", 1.5, 2.0, True],
+    int | None: ["3", 1.5, 2.0, True],
     float: ["0.5", True],
     float | None: ["0.5", True],
     bool: ["no", 1],

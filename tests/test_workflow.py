@@ -14,6 +14,8 @@ from pathlib import Path
 
 from test_acceptance import CRITERION_1_LAYER_COUNTS
 from test_cli import (
+    GENERATED_ARGS,
+    GENERATED_REPORT_SHA256,
     REPLAY_ARGS,
     REPLAY_STDOUT_SHA256,
     TRACES_REPORT_CSV_SHA256,
@@ -40,6 +42,7 @@ def test_determinism_digests_match_the_tests():
         "report.json": TRACES_REPORT_JSON_SHA256,
         "report.csv": TRACES_REPORT_CSV_SHA256,
         "replay.txt": REPLAY_STDOUT_SHA256,
+        "generated.json": GENERATED_REPORT_SHA256,
     }
 
 
@@ -48,6 +51,13 @@ def test_determinism_replay_arguments_match_the_tests():
                        r"> \"\$out/replay.txt\"", workflow_text())
     assert replay is not None
     assert [arg for arg in replay.group(1).split() if arg != "\\"] == REPLAY_ARGS
+
+
+def test_determinism_generated_arguments_match_the_tests():
+    bench = re.search(r"nestedprune.cli bench ([^\"]*)--variants \"\$out/variants.json\" "
+                      r"--baseline asha --out \"\$out/generated.json\"", workflow_text())
+    assert bench is not None
+    assert [arg for arg in bench.group(1).split() if arg != "\\"] == GENERATED_ARGS
 
 
 def test_reference_layer_counts_match_the_tests():
