@@ -255,6 +255,10 @@ def _cmd_bench(args) -> int:
     else:
         if args.outer is None or args.inner is None:
             raise ValueError("--outer and --inner are required unless --traces is given")
+        # checked here, as the library's messages name the field, not the flag
+        for flag, value in (("--reps", args.reps), ("--trials", args.trials)):
+            if value is not None and value < 1:
+                raise ValueError(f"{flag} must be >= 1, not {value}")
         trials = _BENCH_TRIALS if args.trials is None else args.trials
         base_seed = _BENCH_BASE_SEED if args.base_seed is None else args.base_seed
         source = _trace_gen_config(args, trials=trials, seed=base_seed, direction=direction)

@@ -5,6 +5,9 @@ here is built on order statistics: trimmed means for smoothing, medians as the
 robust center, and one-sided deviations for optimism in the optimized
 direction. Means are computed exactly and rounded once, so results do not
 depend on input order and negating a series negates every result exactly.
+The exact sums come from ``math.fsum``, which implements Shewchuk's
+adaptive-precision summation ("Adaptive Precision Floating-Point Arithmetic
+and Fast Robust Geometric Predicates", 1997).
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from enum import Enum
-from itertools import repeat
-from math import frexp, inf, ldexp
+from math import fsum, inf
 from typing import Iterable
 
 
@@ -46,6 +48,11 @@ _MEAN_DEVIATION = ExtrapolationMethod.MEAN_DEVIATION
 _MAX_DEVIATION = ExtrapolationMethod.MAX_DEVIATION
 _OPTIMAL_METRIC = ExtrapolationMethod.OPTIMAL_METRIC
 
+# the float stage of a threshold step: 16 units of roundoff (u = 2**-53) of the
+# weighted magnitudes, and 16 times the least subnormal (MetricHistory._estimate)
+_ROUNDING = 2.0**-49
+_SUBNORMAL = 2.0**-1070
+
 
 def validate_trim_fraction(trim_fraction: float) -> None:
     if not 0.0 <= trim_fraction < 0.5:
@@ -76,9 +83,12 @@ class MetricHistory:
     statistic is the mean of one slice of the sorted list: the central pair
     (or value) for the median, the untrimmed middle for a trimmed mean, the
     values better than the median for mean-dev and the best value for
-    max-dev. ``_mean`` sums that slice exactly in integers, so each mean
-    rounds once and each threshold test is exact. A threshold step that the
-    central values settle on their own (``estimate_is_worse``) sums nothing.
+    max-dev. ``_mean`` sums that slice exactly, as an expansion of ``fsum``
+    partials added in integers, so each mean rounds once. A threshold step
+    that the central values settle on their own (``estimate_is_worse``) sums
+    nothing; one they leave open is decided in floats with a proven error
+    bound, and only a near-tie takes the exact integer comparison
+    (``_estimate``), so each threshold test is exact.
     """
 
     __slots__ = ("pending", "_sorted")
@@ -110,59 +120,71 @@ class MetricHistory:
     def _mean(self, start: int, stop: int) -> tuple[int, int]:
         """The exact mean of the sorted values in ``[start, stop)``, as integers ``(n, d)``.
 
-        A float of frexp exponent ``e`` is a multiple of ``2**(e - 53)``, and so
-        is every float of larger magnitude, so the nonzero value nearest zero
-        sets a scale ``2**bits`` at which every value is whole (any scale
-        for all zeros); ``bits`` is kept at or above 0 so that the count can
-        carry it. Each value is scaled by ``ldexp``, exact unless it overflows
-        and a third of the cost of ``as_integer_ratio``, which covers the
-        overflow.
+        ``fsum`` returns the sum correctly rounded. Appending each result,
+        negated, and summing again until the result is 0.0 leaves partial sums
+        that add up to the slice's sum exactly: a nonzero remainder is a
+        multiple of the least subnormal, so it never rounds to 0.0. The few
+        partials are added as ``as_integer_ratio`` terms over their largest
+        denominator, a power of two that each smaller one divides. A sum past
+        the float range raises ``OverflowError``; the values' own ratios are
+        then added instead.
+        """
+        addends = self._sorted[start:stop]
+        terms = []
+        try:
+            partial = fsum(addends)
+            while partial:
+                terms.append(partial)
+                addends.append(-partial)
+                partial = fsum(addends)
+        except OverflowError:
+            terms = self._sorted[start:stop]
+        numerator, denominator = 0, 1
+        for term in terms:
+            n, d = term.as_integer_ratio()
+            if d > denominator:
+                numerator, denominator = numerator * (d // denominator) + n, d
+            else:
+                numerator += n * (denominator // d)
+        return numerator, denominator * (stop - start)
+
+    def _optimistic_slice(
+        self, direction: Direction, method: ExtrapolationMethod
+    ) -> tuple[int, int]:
+        """The slice whose mean is the optimistic value of ``method``, with nothing pending.
+
+        Mean-dev reads the values strictly better than the median, max-dev the
+        best value; mean-dev reads the median's slice when no value is better,
+        as ``none`` always does. The values strictly below (above) the median
+        start (end) at the first (last) copy of the upper (lower) middle value.
+        ``optimal`` reads no slice and is not asked.
         """
         ordered = self._sorted
-        below = bisect_left(ordered, 0.0)
-        above = bisect_right(ordered, 0.0, below)
-        finest = min(
-            -ordered[below - 1] if below else inf,
-            ordered[above] if above < len(ordered) else inf,
-        )
-        bits = max(0, 53 - frexp(finest)[1])
-        values = ordered[start:stop]
-        try:
-            total = sum(map(int, map(ldexp, values, repeat(bits))))
-        except OverflowError:
-            ratios = (value.as_integer_ratio() for value in values)
-            total = sum(n << (bits + 1 - d.bit_length()) for n, d in ratios)
-        return total, (stop - start) << bits
+        count = len(ordered)
+        if method is _MAX_DEVIATION:
+            return (0, 1) if direction is _MINIMIZE else (count - 1, count)
+        if method is _MEAN_DEVIATION:
+            if direction is _MINIMIZE:
+                below = bisect_left(ordered, ordered[count // 2])
+                if below:
+                    return 0, below
+            else:
+                above = bisect_right(ordered, ordered[(count - 1) // 2])
+                if above < count:
+                    return above, count
+        return _central(count)
 
     def _optimistic(
         self, direction: Direction, method: ExtrapolationMethod, optimal_value: float | None
     ) -> tuple[int, int]:
         """The optimistic value of ``method`` as an exact ratio ``(n, d)``, with nothing pending.
 
-        ``optimal`` gives ``optimal_value``; every other method the mean of one
-        slice. Mean-dev reads the values strictly better than the median,
-        max-dev the best value; mean-dev reads the median's slice when no
-        value is better, as ``none`` always does. The values strictly below
-        (above) the median start (end) at the first (last) copy of the upper
-        (lower) middle value.
+        ``optimal`` gives ``optimal_value``; every other method the mean of its
+        ``_optimistic_slice``.
         """
         if method is _OPTIMAL_METRIC:
             return _checked_optimal(optimal_value).as_integer_ratio()
-        ordered = self._sorted
-        count = len(ordered)
-        start, stop = _central(count)
-        if method is _MAX_DEVIATION:
-            start, stop = (0, 1) if direction is _MINIMIZE else (count - 1, count)
-        elif method is _MEAN_DEVIATION:
-            if direction is _MINIMIZE:
-                below = bisect_left(ordered, ordered[count // 2])
-                if below:
-                    start, stop = 0, below
-            else:
-                above = bisect_right(ordered, ordered[(count - 1) // 2])
-                if above < count:
-                    start, stop = above, count
-        return self._mean(start, stop)
+        return self._mean(*self._optimistic_slice(direction, method))
 
     def median(self) -> float:
         count = len(self._ordered())
@@ -231,18 +253,68 @@ class MetricHistory:
         method: ExtrapolationMethod,
         optimal_value: float | None,
     ) -> bool:
-        """The exact pass of ``estimate_is_worse``, in integers, with nothing pending.
+        """The open step of ``estimate_is_worse``, with nothing pending: floats, then integers.
 
-        With the median as ``m / mc`` and the optimistic value as ``o / oc``,
-        exact ratios of integers, compare ``m*oc*done + o*mc*missing`` with
-        ``bound*mc*oc*(done + missing)``.
+        The float stage computes the blend ``(median*done + optimistic*missing)
+        / total``: the median from the central pair, the optimistic value as
+        ``fsum`` of its slice over the slice's count (or ``optimal_value``). It
+        decides when the blend's distance from ``bound`` exceeds
+        ``16u*W + 2**-1070``, where ``u = 2**-53`` and ``W`` is
+        ``(|median*done| + |optimistic*missing|) / total``, both as computed.
+
+        Proof that the decision is the exact one: each float operation returns
+        its exact result times ``1 + d``, ``|d| <= u``, plus at most
+        ``2**-1075`` where a product or quotient is subnormal (a sum of floats
+        is exact there, and ``fsum`` rounds once). The median and the
+        optimistic value carry at most two roundings each; converting
+        ``missing`` and ``total`` one each (none below ``2**53``); the two
+        products, their sum and the quotient one each: at most seven
+        roundings on any term. So the float blend is within ``7u*W`` (to
+        first order in ``u``) plus ``4 * 2**-1075`` of the exact blend. The
+        bound as computed is at least ``16u*W*(1 - u)**3 - 2**-1075 +
+        2**-1070`` (three roundings, one of them perhaps subnormal), which
+        exceeds that. The gap to ``bound`` is rounded once more, and rounding
+        is monotonic, so a gap past the bound in floats is one in exact
+        arithmetic.
+
+        Anything else goes on to the integer comparison: a near-tie, an
+        ``OverflowError`` (``fsum``, or an int too large for a float), and a
+        non-finite intermediate, which makes the gap or the bound infinite or
+        NaN. There, with the median as ``m / mc`` and the optimistic value as
+        ``o / oc``, exact ratios of integers, compare ``m*oc*done +
+        o*mc*missing`` with ``bound*mc*oc*(done + missing)``.
         """
-        done = len(self._sorted)
-        m, mc = self._mean(*_central(done))
-        o, oc = self._optimistic(direction, method, optimal_value)
+        ordered = self._sorted
+        done = len(ordered)
+        total = done + steps_missing
+        lower, upper = _central(done)
+        if method is _OPTIMAL_METRIC:
+            optimistic = _checked_optimal(optimal_value)
+        else:
+            start, stop = self._optimistic_slice(direction, method)
+        try:
+            median = ordered[lower] if done % 2 else (ordered[lower] + ordered[lower + 1]) * 0.5
+            if method is not _OPTIMAL_METRIC:
+                optimistic = fsum(ordered[start:stop]) / (stop - start)
+            weighted, extra = median * done, optimistic * steps_missing
+            gap = (weighted + extra) / total - bound
+            error = (abs(weighted) + abs(extra)) / total * _ROUNDING + _SUBNORMAL
+        except OverflowError:
+            pass
+        else:
+            if error < gap < inf:
+                return direction is _MINIMIZE
+            if -inf < gap < -error:
+                return direction is not _MINIMIZE
+
+        m, mc = self._mean(lower, upper)
+        if method is _OPTIMAL_METRIC:
+            o, oc = optimistic.as_integer_ratio()
+        else:
+            o, oc = self._mean(start, stop)
         bound_numerator, bound_denominator = bound.as_integer_ratio()
         estimate = (m * oc * done + o * mc * steps_missing) * bound_denominator
-        limit = bound_numerator * mc * oc * (done + steps_missing)
+        limit = bound_numerator * mc * oc * total
         return estimate > limit if direction is _MINIMIZE else estimate < limit
 
 

@@ -322,6 +322,7 @@ def combined_decide(study: StudyState, trial_id: str, new_step: "StepRecord") ->
     wins and is recorded on the trial (``study.trials[trial_id].decision``,
     with its ``status``); reporting further steps for a pruned or completed
     trial is an error. A trial's first step checks its id: a non-empty ``str``.
+    A refused first step leaves no trial behind, so the id can still run.
 
     Calls hold ``study.lock``, so live callers may report from several
     threads (one per trial) into one study; replay calls from one thread.
@@ -336,7 +337,10 @@ def combined_decide(study: StudyState, trial_id: str, new_step: "StepRecord") ->
         state = study.trials.get(trial_id)
         if state is None:
             check_trial_id(trial_id)
-            state = study.trials[trial_id] = TrialRuntimeState()
+            state = TrialRuntimeState()
+            # kept only if the checks below will pass, so a refused first step leaves no trial
+            if new_step.trial_id == trial_id and new_step.outer_idx == new_step.inner_idx == 0:
+                study.trials[trial_id] = state
         if state.status is not _RUNNING:
             raise InvalidTrialStateError(
                 f"trial {trial_id!r} is {state.status.value}; it cannot accept steps"

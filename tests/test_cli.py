@@ -253,6 +253,17 @@ class TestBench:
         assert f"error: --reps must be 1 with --traces, not {reps}\n" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--reps", "--trials"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_generated_run_names_the_flag_below_one(self, flag, value, tmp_path, capsys):
+        # the library's "repetitions must be >= 1" and "trials must be >= 1" named no flag
+        args = ["bench", flag, value, "--outer", "6", "--inner", "4",
+                "--variants", write_variants(tmp_path), "--baseline", "asha",
+                "--out", str(tmp_path / "r.json")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, not {value}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_undecodable_variants_name_file_and_line(self, tmp_path, capsys):
         variants = tmp_path / "variants.json"
         variants.write_bytes(

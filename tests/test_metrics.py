@@ -1,9 +1,10 @@
 """Unit tests for the robust statistics and extrapolation primitives."""
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_threshold_prunes,
@@ -340,6 +341,120 @@ class TestMedianSettledSteps:
         values = [0.1, 0.1, 0.1]
         assert self.decide(values, 0.2, 10, direction, ExtrapolationMethod.OPTIMAL_METRIC, 1.0)
         assert exact_passes == [1]
+
+
+class TestExactMean:
+    """``_mean`` adds ``fsum`` partials exactly; past the float range, the values' own ratios."""
+
+    # ties, both zeros, subnormals, and values whose sums overflow
+    pool = st.sampled_from(
+        [0.0, -0.0, 0.5, 0.5, -1.5, 3.0, 0.1, 5e-324, -5e-324, -1e-310, 1e-300,
+         1.7e308, -1.7e308]
+    )
+
+    @settings(max_examples=500)
+    @given(st.lists(st.one_of(pool, st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=12), st.data())
+    @example([1.7e308, 1.7e308], None)  # fsum overflows: the ratio fallback
+    @example([0.1, 0.2, 0.3, 5e-324], None)  # partials down to the least subnormal
+    def test_equals_the_exact_mean(self, values, data):
+        history = MetricHistory(values)
+        ordered = sorted(values)
+        history.median()
+        if data is None:
+            start, stop = 0, len(ordered)
+        else:
+            start = data.draw(st.integers(0, len(ordered) - 1))
+            stop = data.draw(st.integers(start + 1, len(ordered)))
+        numerator, denominator = history._mean(start, stop)
+        assert Fraction(numerator, denominator) == exact_mean(ordered[start:stop])
+
+
+class TestFloatStage:
+    """An open threshold step is decided in floats unless the blend is within its error bound.
+
+    Bounds at the exact blend rounded to a float, and one ``nextafter`` either
+    side, are inside that bound, so they reach the integer comparison: the
+    only caller of ``_mean`` on a threshold step.
+    """
+
+    @pytest.fixture()
+    def integer_passes(self, monkeypatch):
+        """The number of ``_mean`` calls, as a one-item list."""
+        calls = [0]
+        mean = MetricHistory._mean
+
+        def counted(self, *args):
+            calls[0] += 1
+            return mean(self, *args)
+
+        monkeypatch.setattr(MetricHistory, "_mean", counted)
+        return calls
+
+    @staticmethod
+    def near_blend(values, missing, direction, method, optimal):
+        """The exact blend rounded to a float, and the floats on either side of it."""
+        done = len(values)
+        blend = float(
+            (exact_median(values) * done
+             + exact_optimistic(values, direction, method, optimal) * missing)
+            / (done + missing)
+        )
+        return [math.nextafter(blend, -math.inf), blend, math.nextafter(blend, math.inf)]
+
+    # the counter is read as a difference, so it need not be reset between examples
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(history_values, min_size=1, max_size=30),
+        st.sampled_from(list(ExtrapolationMethod)),
+        st.sampled_from([MIN, MAX]),
+        st.integers(min_value=0, max_value=12),
+        history_values,
+    )
+    def test_bounds_at_the_blend_reach_the_integer_comparison(
+        self, integer_passes, values, method, direction, missing, optimal
+    ):
+        history = MetricHistory(values)
+        history.median()
+        ordered = sorted(values)
+        worse_central = ordered[len(values) // 2 if direction is MIN else (len(values) - 1) // 2]
+        for bound in self.near_blend(values, missing, direction, method, optimal):
+            before = integer_passes[0]
+            worse = history.estimate_is_worse(bound, missing, direction, method, optimal)
+            assert worse == brute_threshold_prunes(
+                values, missing, direction, method, optimal, bound
+            )
+            settled = not direction.is_worse(worse_central, bound) and (
+                method is not ExtrapolationMethod.OPTIMAL_METRIC
+                or not direction.is_worse(optimal, bound)
+            )
+            # a step the central values leave open goes past the float stage
+            assert integer_passes[0] > before or settled
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    def test_dyadic_blend_on_the_bound(self, integer_passes, direction):
+        # median 0.375 and mean-dev 0.1875, four steps each way: the blend is 0.28125 exactly
+        sign = 1.0 if direction is MIN else -1.0
+        values = [sign * v for v in (0.125, 0.25, 0.5, 1.0)]
+        method = ExtrapolationMethod.MEAN_DEVIATION
+        below, at, above = self.near_blend(values, 4, direction, method, 0.0)
+        assert at == sign * 0.28125
+        decisions = [
+            MetricHistory(values).estimate_is_worse(bound, 4, direction, method, 0.0)
+            for bound in (below, at, above)
+        ]
+        assert decisions == ([True, False, False] if direction is MIN else [False, False, True])
+        assert integer_passes == [6]
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    def test_far_bound_is_settled_in_floats(self, integer_passes, direction):
+        # the median 0.375 is worse than 0.3; mean-dev's blend 0.28125 is clearly better
+        sign = 1.0 if direction is MIN else -1.0
+        values = [sign * v for v in (0.125, 0.25, 0.5, 1.0)]
+        method = ExtrapolationMethod.MEAN_DEVIATION
+        assert not MetricHistory(values).estimate_is_worse(sign * 0.3, 4, direction, method, 0.0)
+        assert MetricHistory(values).estimate_is_worse(sign * 0.25, 4, direction, method, 0.0)
+        assert integer_passes == [0]
 
 
 class TestNonFiniteInput:

@@ -30,10 +30,13 @@ from nestedprune import (
     PrunerConfig,
     StepRecord,
     StudyState,
+    TrialStatus,
+    TrialTrace,
     asha_record_and_decide,
     combined_decide,
     median,
     reported_value_on_prune,
+    run_trial,
     semantic_decide,
     threshold_decide,
     trimmed_mean,
@@ -560,6 +563,31 @@ class TestCombinedDecide:
             combined_decide(study, trial_id, StepRecord(trial_id, 0, 0, 0.4, 3))
         assert study.trials == {}
         assert not study.lock.locked()
+
+    @pytest.mark.parametrize(
+        "trial_id, first, message",
+        [
+            ("a", StepRecord("a", 0, 1, 0.3, 3),
+             "trial 'a': expected step (outer, inner)=(0, 0), got (0, 1)"),
+            ("a", StepRecord("a", 1, 0, 0.3, 3),
+             "trial 'a': expected step (outer, inner)=(0, 0), got (1, 0)"),
+            ("b", StepRecord("c", 0, 0, 0.3, 3), "step for trial 'c' reported under 'b'"),
+        ],
+        ids=["inner", "outer", "other-id"],
+    )
+    def test_refused_first_step_leaves_no_trial(self, trial_id, first, message):
+        # once the refused step's trial stayed RUNNING, and run_trial then refused the id
+        study = make_study(outer=2, inner=2)
+        combined_decide(study, "x", StepRecord("x", 0, 0, 0.4, 3))
+        before = dict(study.trials)
+        with pytest.raises(InvalidTrialStateError, match=f"^{re.escape(message)}$"):
+            combined_decide(study, trial_id, first)
+        assert study.trials == before
+        assert not study.lock.locked()
+        outcome = run_trial(study, TrialTrace(trial_id, study.shape,
+                                              metrics=[0.4] * 4, features=[3] * 4))
+        assert outcome.models_trained == 4
+        assert study.trials[trial_id].status is TrialStatus.COMPLETED
 
     def test_disabled_layers_are_skipped(self):
         study = make_study(
