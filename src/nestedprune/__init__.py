@@ -23,19 +23,16 @@ from .engine import (
     TrialOutcome,
     full_objective,
     run_study,
-    run_trial,
 )
 from .errors import FormatError, InvalidTrialStateError
 from .metrics import (
     Direction,
     ExtrapolationMethod,
     MetricHistory,
-    extrapolate,
     median,
     trimmed_mean,
 )
 from .pruners import (
-    CONTINUE,
     AshaConfig,
     Decision,
     PruneLayer,
@@ -44,7 +41,6 @@ from .pruners import (
     TrialStatus,
     asha_record_and_decide,
     combined_decide,
-    reported_value_on_prune,
     semantic_decide,
     threshold_decide,
 )
@@ -56,7 +52,6 @@ __all__ = [
     "AshaConfig",
     "BenchConfig",
     "BenchReport",
-    "CONTINUE",
     "CvShape",
     "Decision",
     "Direction",
@@ -81,15 +76,12 @@ __all__ = [
     "combined_decide",
     "compare_pruners",
     "emit_report",
-    "extrapolate",
     "full_objective",
     "generate_cohort",
     "load_report",
     "median",
     "read_traces",
-    "reported_value_on_prune",
     "run_study",
-    "run_trial",
     "semantic_decide",
     "threshold_decide",
     "trimmed_mean",

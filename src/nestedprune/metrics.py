@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from enum import Enum
-from math import fsum, inf
+from math import fsum, inf, isfinite
 from typing import Iterable
 
 
@@ -174,18 +174,6 @@ class MetricHistory:
                     return above, count
         return _central(count)
 
-    def _optimistic(
-        self, direction: Direction, method: ExtrapolationMethod, optimal_value: float | None
-    ) -> tuple[int, int]:
-        """The optimistic value of ``method`` as an exact ratio ``(n, d)``, with nothing pending.
-
-        ``optimal`` gives ``optimal_value``; every other method the mean of its
-        ``_optimistic_slice``.
-        """
-        if method is _OPTIMAL_METRIC:
-            return _checked_optimal(optimal_value).as_integer_ratio()
-        return self._mean(*self._optimistic_slice(direction, method))
-
     def median(self) -> float:
         count = len(self._ordered())
         if count % 2:
@@ -200,15 +188,6 @@ class MetricHistory:
         count = len(self._ordered())
         cut = math.floor(trim_fraction * count)
         numerator, denominator = self._mean(cut, count - cut)
-        return numerator / denominator
-
-    def extrapolate(
-        self, direction: Direction, method: ExtrapolationMethod, optimal_value: float | None
-    ) -> float:
-        if method is ExtrapolationMethod.NO_EXTRAPOLATION:
-            return self.median()
-        self._ordered()
-        numerator, denominator = self._optimistic(direction, method, optimal_value)
         return numerator / denominator
 
     def estimate_is_worse(
@@ -228,7 +207,9 @@ class MetricHistory:
         is no worse than the bound when the central value on the worse side is
         not; the optimistic value of ``none``, ``max-dev`` and ``mean-dev`` is
         never worse than the median, and that of ``optimal`` is
-        ``optimal_value``. Ties are not worse, as in the exact pass.
+        ``optimal_value``. Ties are not worse, as in the exact pass. A bound
+        that settles every step (``inf`` minimising, ``-inf`` maximising) is
+        taken; any other non-finite bound is refused once a step is open.
         """
         if steps_missing < 0:
             raise ValueError("steps_missing must be >= 0")
@@ -284,6 +265,8 @@ class MetricHistory:
         ``o / oc``, exact ratios of integers, compare ``m*oc*done +
         o*mc*missing`` with ``bound*mc*oc*(done + missing)``.
         """
+        if not isfinite(bound):
+            raise ValueError(f"bound must be finite, got {bound}")
         ordered = self._sorted
         done = len(ordered)
         total = done + steps_missing
@@ -353,4 +336,12 @@ def extrapolate(
     values better than the median. With no better value they give the median,
     as ``NO_EXTRAPOLATION`` always does.
     """
-    return as_history(values).extrapolate(direction, method, optimal_value)
+    history = as_history(values)
+    if method is ExtrapolationMethod.NO_EXTRAPOLATION:
+        return history.median()
+    history._ordered()
+    if method is _OPTIMAL_METRIC:
+        numerator, denominator = _checked_optimal(optimal_value).as_integer_ratio()
+    else:
+        numerator, denominator = history._mean(*history._optimistic_slice(direction, method))
+    return numerator / denominator

@@ -31,9 +31,9 @@ from nestedprune import (
     full_objective,
     generate_cohort,
     run_study,
-    run_trial,
     trimmed_mean,
 )
+from nestedprune.engine import run_trial
 
 MIN = Direction.MINIMIZE
 

@@ -19,11 +19,11 @@ from nestedprune import (
     ExtrapolationMethod,
     MetricHistory,
     PrunerConfig,
-    extrapolate,
     median,
     threshold_decide,
     trimmed_mean,
 )
+from nestedprune.metrics import extrapolate
 
 MIN = Direction.MINIMIZE
 MAX = Direction.MAXIMIZE
@@ -494,6 +494,22 @@ class TestBadArguments:
         history = MetricHistory([0.5, 0.2])
         with pytest.raises(ValueError, match=r"^steps_missing must be >= 0$"):
             history.estimate_is_worse(0.3, -5, MIN, method, 0.0)
+
+    @pytest.mark.parametrize("method", list(ExtrapolationMethod))
+    @pytest.mark.parametrize("direction, bound", [
+        (MIN, -math.inf), (MIN, math.nan), (MAX, math.inf), (MAX, math.nan),
+    ])
+    def test_estimate_is_worse_refuses_a_bound_that_leaves_the_step_open(
+        self, method, direction, bound
+    ):
+        # unchecked, the exact pass failed converting the bound to an integer ratio
+        with pytest.raises(ValueError, match=rf"^bound must be finite, got {bound}$"):
+            MetricHistory([0.5, 0.2]).estimate_is_worse(bound, 3, direction, method, 0.0)
+
+    @pytest.mark.parametrize("method", list(ExtrapolationMethod))
+    @pytest.mark.parametrize("direction, bound", [(MIN, math.inf), (MAX, -math.inf)])
+    def test_estimate_is_worse_takes_a_bound_that_settles_the_step(self, method, direction, bound):
+        assert not MetricHistory([0.5, 0.2]).estimate_is_worse(bound, 3, direction, method, 0.0)
 
     def test_threshold_decide_refuses_negative_missing_steps(self):
         config = PrunerConfig(direction=MIN, threshold=0.3)

@@ -75,14 +75,14 @@ def test_reimports_keep_no_old_package_alive():
 
 # the public surface; a name leaves or joins it only by editing this list
 PUBLIC_NAMES = [
-    "AshaConfig", "BenchConfig", "BenchReport", "CONTINUE", "CvShape", "Decision", "Direction",
+    "AshaConfig", "BenchConfig", "BenchReport", "CvShape", "Decision", "Direction",
     "ExtrapolationMethod", "FalsePruneRecord", "FormatError", "InvalidTrialStateError",
     "MetricHistory", "PruneLayer", "PrunerConfig", "RepStats", "StepRecord", "StudyReport",
     "StudyState", "TraceGenConfig", "TrialOutcome", "TrialStatus", "TrialTrace",
     "VariantReport", "asha_record_and_decide", "classify_false_prunes", "combined_decide",
-    "compare_pruners", "emit_report", "extrapolate", "full_objective", "generate_cohort",
-    "load_report", "median", "read_traces", "reported_value_on_prune", "run_study",
-    "run_trial", "semantic_decide", "threshold_decide", "trimmed_mean", "write_traces",
+    "compare_pruners", "emit_report", "full_objective", "generate_cohort", "load_report",
+    "median", "read_traces", "run_study", "semantic_decide", "threshold_decide",
+    "trimmed_mean", "write_traces",
 ]
 
 

@@ -18,7 +18,6 @@ from oracles import (
 )
 
 from nestedprune import (
-    CONTINUE,
     AshaConfig,
     CvShape,
     Decision,
@@ -35,14 +34,13 @@ from nestedprune import (
     asha_record_and_decide,
     combined_decide,
     median,
-    reported_value_on_prune,
-    run_trial,
     semantic_decide,
     threshold_decide,
     trimmed_mean,
 )
 from nestedprune import pruners
-from nestedprune.pruners import asha_rung_resource, rung_cutoff
+from nestedprune.engine import run_trial
+from nestedprune.pruners import CONTINUE, asha_rung_resource, reported_value_on_prune, rung_cutoff
 
 MIN = Direction.MINIMIZE
 MAX = Direction.MAXIMIZE

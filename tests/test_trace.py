@@ -32,12 +32,8 @@ from nestedprune import (
     run_study,
     write_traces,
 )
-from nestedprune.cli import main
 
 SHAPE = CvShape(outer_folds=3, inner_folds=2)
-
-# also pinned by the determinism job of .github/workflows/tests.yml
-CRITERION_1_COHORT_SHA256 = "d53718ded9a0a2620e3f2d4207e0a59302b0942a6c47775ca7f1697c209bdbd7"
 
 
 def gen_config(**overrides):
@@ -279,13 +275,11 @@ class TestStepObjects:
 
 
 class TestPinnedBytes:
-    """sha256 of trace files, each recorded on an earlier generator and writer."""
+    """sha256 of trace files, each recorded on an earlier generator and writer.
 
-    def test_criterion_1_gen_file(self, tmp_path):
-        out = tmp_path / "cohort.csv"
-        args = ["gen", "--trials", "40", "--outer", "30", "--inner", "10", "--seed", "42"]
-        assert main(args + ["--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_1_COHORT_SHA256
+    The criterion-1 cohort's digest is pinned once, in the determinism job of
+    .github/workflows/tests.yml, which tests/test_workflow.py runs.
+    """
 
     def test_maximize_file(self, tmp_path):
         config = TraceGenConfig(
