@@ -39,8 +39,11 @@ def not_utf8(path) -> FormatError:
 
     A decoder's offset counts from the chunk it was handed, not from the start
     of the file, so the file's bytes are read again, on this error path only,
-    and decoded whole.
+    and decoded whole. Input that is not a regular file, such as a pipe, cannot
+    be read again, and gets no line.
     """
+    if not Path(path).is_file():
+        return FormatError("not UTF-8 text", path=path)
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
@@ -102,10 +105,22 @@ _field_hints = cache(get_type_hints)  # per config class; the dict is only read
 
 
 def check_fields(config) -> None:
-    """Raise ``TypeError`` or ``ValueError`` (a float not finite) naming the bad field."""
+    """Raise ``TypeError`` or ``ValueError`` naming the bad field.
+
+    The ``ValueError`` is for a float not finite, or an int too large for a
+    float in a field that takes floats; an int field takes any int.
+    """
     for name, hint in _field_hints(type(config)).items():
         value = getattr(config, name)
         if not accepts(hint, value):
             raise TypeError(f"{name} must be {_kind(hint)}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+        if type(value) is int and (hint is float or float in get_args(hint)):
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(
+                    f"{name} must be an int a float can hold, got one of "
+                    f"{value.bit_length()} bits"
+                ) from None

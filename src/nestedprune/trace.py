@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, filterfalse, islice, repeat
+from itertools import chain, compress, filterfalse, islice
 from operator import ne
 from pathlib import Path
 from typing import Sequence
@@ -33,8 +33,8 @@ _QUOTE_IF_HELD = frozenset(',"\r\n')  # a trial id holding one of these is writt
 _HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 _BLOCK_CHARS = 16 * 1024  # characters read at a time; a block ends at the last line feed read
 _CSV_BLOCK_ROWS = 1024  # rows taken from the csv module at a time
-_ALL_BUT_SEPARATORS = dict.fromkeys(set(range(128)) - {ord(","), ord("\n")})
-_ROW_SEPARATORS = ",,,,\n"
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b',\n"\r\0')  # dropped from a block
+_ROW_SEPARATORS = b",,,,\n"
 
 
 @dataclass(frozen=True)
@@ -402,9 +402,10 @@ def _read_file(path: Path) -> list[TrialTrace]:
 def _split_plain_blocks(handle, chunk: str, columns: _Columns) -> str | None:
     """Split the plain blocks that start the file's data rows into ``columns``.
 
-    A block is plain when it holds no ``"``, carriage return or NUL, and each of
-    its lines holds exactly four commas and fits ``csv.field_size_limit()``: the
-    ``csv`` module splits such text at its commas and line feeds too. Returns
+    A block is plain when its UTF-8 bytes, kept to ``,`` ``\\n`` ``"`` ``\\r`` and NUL
+    (no other UTF-8 character holds one), are ``,,,,\\n`` a line, and it fits
+    ``csv.field_size_limit()``: the ``csv`` module splits such text at its commas and
+    line feeds too. A line longer than a block ends the plain blocks as well. Returns
     the text from the first block that is not plain on, or None at the end.
     """
     limit = csv.field_size_limit()
@@ -412,30 +413,19 @@ def _split_plain_blocks(handle, chunk: str, columns: _Columns) -> str | None:
     while True:
         cut = chunk.rfind("\n") + 1
         if chunk and not cut:
-            rest += chunk
-        else:
-            block, rest = rest + chunk[:cut], chunk[cut:]
-            if not block:
-                return None
-            body = block[:-1] if cut else block  # the last line may have no line feed
-            if (
-                '"' in body or "\r" in body or "\0" in body
-                or not _four_commas_a_line(body)
-                or (len(body) > limit and max(map(len, body.split("\n"))) > limit)
-            ):
-                return block + rest
-            fields = body.replace("\n", ",").split(",")
-            columns.add(*(fields[column::5] for column in range(5)))
-            if not chunk:
-                return None
+            return rest + chunk
+        block, rest = rest + chunk[:cut], chunk[cut:]
+        if not block:
+            return None
+        body = block[:-1] if cut else block  # the last line may have no line feed
+        kept = body.encode().translate(None, _NOT_STRUCTURE)
+        if len(body) > limit or kept + b"\n" != _ROW_SEPARATORS * (kept.count(b"\n") + 1):
+            return block + rest
+        fields = body.replace("\n", ",").split(",")
+        columns.add(*(fields[column::5] for column in range(5)))
+        if not chunk:
+            return None
         chunk = handle.read(_BLOCK_CHARS)
-
-
-def _four_commas_a_line(body: str) -> bool:
-    if body.isascii():  # translate caches the table's answers in ASCII text only
-        separators = body.translate(_ALL_BUT_SEPARATORS) + "\n"
-        return separators == _ROW_SEPARATORS * (body.count("\n") + 1)
-    return set(map(str.count, body.split("\n"), repeat(","))) == {4}
 
 
 def _read_csv(handle, text: str, columns: _Columns, lines_before: int) -> None:
@@ -546,11 +536,14 @@ def _row_problem(row: Sequence[str]) -> str | None:
     return None
 
 
-def _line_of(path: Path, index: int) -> int:
+def _line_of(path: Path, index: int) -> int | None:
     """The line the data row at ``index`` ends on; the file is read again, for errors only.
 
-    Quoted fields may hold line breaks, so rows and lines need not match.
+    Quoted fields may hold line breaks, so rows and lines need not match. Input
+    that is not a regular file, such as a pipe, cannot be read again: None.
     """
+    if not path.is_file():
+        return None
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         for count, _ in enumerate(reader):

@@ -318,6 +318,19 @@ class TestBench:
         assert f"error: variants file {path}: {expected}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("direction", ["min", "max"])
+    def test_threshold_too_large_for_a_float_names_file_variant_and_key(
+        self, direction, tmp_path, capsys
+    ):
+        path = write_variants(tmp_path, {"v": {"threshold": 10**400}})
+        args = ["bench", "--outer", "6", "--inner", "4", "--trials", "4", "--reps", "1",
+                "--direction", direction, "--variants", path, "--baseline", "v",
+                "--out", str(tmp_path / "r.json")]
+        assert main(args) == 1
+        assert (f"error: variants file {path}: variant 'v': threshold must be an int a float "
+                "can hold, got one of 1329 bits") in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_variants_syntax_error_names_file_and_line(self, tmp_path, capsys):
         variants = tmp_path / "variants.json"
         variants.write_text('{"asha": {"semantic_enabled": false},\n'
@@ -384,6 +397,19 @@ class TestReport:
         assert not out.exists()
         assert (f"error: malformed report {report_path}: variants[0]: models_trained_stddev "
                 "must be finite") in capsys.readouterr().err
+
+    def test_int_too_large_for_a_float_exits_one(self, report_path, tmp_path, capsys):
+        text = report_path.read_text(encoding="utf-8")
+        edited = re.sub(r'"models_trained_stddev": [^,]*,',
+                        f'"models_trained_stddev": {10**400},', text, count=1)
+        assert edited != text
+        report_path.write_text(edited, encoding="utf-8")
+        out = tmp_path / "copy.json"
+        assert main(["report", "--in", str(report_path), "--format", "json",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert (f"error: malformed report {report_path}: variants[0]: models_trained_stddev "
+                "must be an int a float can hold") in capsys.readouterr().err
 
     def test_malformed_input_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

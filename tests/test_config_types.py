@@ -91,6 +91,7 @@ FIELDS = [
     (cls, name, hint) for cls in VALID for name, hint in get_type_hints(cls).items()
 ]
 FLOAT_FIELDS = [(cls, name) for cls, name, hint in FIELDS if hint in (float, float | None)]
+INT_FIELDS = [(cls, name) for cls, name, hint in FIELDS if hint in (int, int | None)]
 
 
 def field_id(case) -> str:
@@ -133,6 +134,25 @@ def test_int_fits_every_float_field(cls, name):
 def test_non_finite_float_names_the_field(cls, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
         build(cls, **{name: value})
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=map(field_id, FLOAT_FIELDS))
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_int_too_large_for_a_float_names_the_field(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an int a float can hold, got one "
+                                         "of 1329 bits$"):
+        build(cls, **{name: value})
+
+
+@pytest.mark.parametrize("cls, name", INT_FIELDS, ids=map(field_id, INT_FIELDS))
+def test_int_field_takes_any_int(cls, name):
+    # a field's own range, or its agreement with another field, may refuse it
+    try:
+        built = build(cls, **{name: 10**400})
+    except ValueError as exc:
+        assert "float" not in str(exc)
+    else:
+        assert getattr(built, name) == 10**400
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,11 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
 import re
 import sys
 import tempfile
+import threading
 from functools import cache
 from pathlib import Path
 
@@ -752,7 +754,9 @@ class TestBlockReaderParity:
 
     def test_clean_files_read_as_the_row_reader_reads_them(self, tmp_path):
         path = tmp_path / "traces.csv"
-        for renamed in ((), ((6, "a,b"),), ((0, "l\nm"), (8, "\u00fc"))):
+        for renamed in (
+            (), ((6, "a,b"),), ((0, "l\nm"), (8, "\u00fc")), ((8, "\u00fc"),), ((3, "x" * 20_000),)
+        ):
             cohort, data = cohort_and_bytes(9, renamed)
             path.write_bytes(data)
             assert read_traces(path) == oracles.row_read_traces(path) == cohort
@@ -850,3 +854,60 @@ class TestBlockReaderEdges:
             assert str(error) == f"{path}: line 8: bad CSV: line contains NUL"
         else:
             assert [t.trial_id for t in read_traces(path)] == ["t0", "a\0b"]
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+class TestStreamedInput:
+    """A pipe is read once: an error in it names the file, and no line it cannot find again."""
+
+    @staticmethod
+    def refused_through_a_pipe(data: bytes) -> tuple[Path, FormatError]:
+        read_end, write_end = os.pipe()
+
+        def write():
+            try:
+                with open(write_end, "wb") as handle:
+                    handle.write(data)
+            except BrokenPipeError:  # the reader stopped at the error
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        path = Path(f"/dev/fd/{read_end}")
+        try:
+            with pytest.raises(FormatError) as err:
+                read_traces(path)
+        finally:
+            os.close(read_end)
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert err.value.path == path and err.value.line is None
+        return path, err.value
+
+    @staticmethod
+    def lines_of_nine_trials() -> list[bytes]:
+        _, data = cohort_and_bytes(9)
+        assert len(data) > 6 * BLOCK
+        return data.split(b"\n")
+
+    @pytest.mark.parametrize("line", [100, 2_650], ids=["early", "late"])
+    def test_bad_row(self, line):
+        lines = self.lines_of_nine_trials()
+        lines[line - 1] = lines[line - 1].rsplit(b",", 1)[0] + b",-1"
+        path, error = self.refused_through_a_pipe(b"\n".join(lines))
+        assert str(error) == f"{path}: selected_feature_count must be >= 0"
+
+    def test_trial_cut_short(self):
+        lines = self.lines_of_nine_trials()
+        del lines[-2]  # the last row; the last item is the empty text after the last line feed
+        path, error = self.refused_through_a_pipe(b"\n".join(lines))
+        assert str(error) == (
+            f"{path}: trial 'trial_008' has 299 rows, cohort shape 30x10 requires 300"
+        )
+
+    def test_not_utf8(self):
+        lines = self.lines_of_nine_trials()
+        for line in (50, 2_600):  # the second is what a read from where the pipe stopped finds
+            lines[line - 1] += b"\xff"
+        path, error = self.refused_through_a_pipe(b"\n".join(lines))
+        assert str(error) == f"{path}: not UTF-8 text"
