@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from enum import Enum
-from math import fsum, inf, isfinite
+from math import frexp, fsum, inf, isfinite, ulp
 from typing import Iterable
 
 
@@ -27,7 +27,7 @@ class Direction(Enum):
 
     def is_worse(self, a: float, b: float) -> bool:
         """True iff ``a`` is strictly worse than ``b``."""
-        return a > b if self is Direction.MINIMIZE else a < b
+        return a > b if self is _MINIMIZE else a < b
 
 
 class ExtrapolationMethod(Enum):
@@ -52,6 +52,16 @@ _OPTIMAL_METRIC = ExtrapolationMethod.OPTIMAL_METRIC
 # weighted magnitudes, and 16 times the least subnormal (MetricHistory._estimate)
 _ROUNDING = 2.0**-49
 _SUBNORMAL = 2.0**-1070
+
+# the float stage of a rounded mean (MetricHistory._rounded_mean): Veltkamp's
+# splitter 2**27 + 1, the quotients and counts it takes, and 8 units of roundoff
+_SPLITTER = 134217729.0
+_LEAST_QUOTIENT, _GREATEST_QUOTIENT = 2.0**-900, 2.0**900
+_COUNT_LIMIT = 2**26
+_RESIDUAL_ROUNDING = 2.0**-50
+
+# the default of MetricHistory(values), told apart by identity: a trial's new history
+_NO_VALUES: tuple[float, ...] = ()
 
 
 def validate_trim_fraction(trim_fraction: float) -> None:
@@ -83,8 +93,9 @@ class MetricHistory:
     statistic is the mean of one slice of the sorted list: the central pair
     (or value) for the median, the untrimmed middle for a trimmed mean, the
     values better than the median for mean-dev and the best value for
-    max-dev. ``_mean`` sums that slice exactly, as an expansion of ``fsum``
-    partials added in integers, so each mean rounds once. A threshold step
+    max-dev. ``_rounded_mean`` rounds that slice's mean once: in floats with a
+    proven bound, or, near a tie, from ``_mean``'s exact sum, an expansion of
+    ``fsum`` partials added in integers. A threshold step
     that the central values settle on their own (``estimate_is_worse``) sums
     nothing; one they leave open is decided in floats with a proven error
     bound, and only a near-tie takes the exact integer comparison
@@ -93,12 +104,15 @@ class MetricHistory:
 
     __slots__ = ("pending", "_sorted")
 
-    def __init__(self, values: Iterable[float] = ()) -> None:
-        self.pending: list[float] = list(map(float, values))
+    def __init__(self, values: Iterable[float] = _NO_VALUES) -> None:
+        self._sorted: list[float] = []
+        if values is _NO_VALUES:  # nothing to convert or check
+            self.pending: list[float] = []
+            return
+        self.pending = list(map(float, values))
         if not all(map(math.isfinite, self.pending)):
             bad = next(v for v in self.pending if not math.isfinite(v))
             raise ValueError(f"metric values must be finite, got {bad}")
-        self._sorted: list[float] = []
 
     def __len__(self) -> int:
         return len(self._sorted) + len(self.pending)
@@ -148,6 +162,59 @@ class MetricHistory:
                 numerator += n * (denominator // d)
         return numerator, denominator * (stop - start)
 
+    def _rounded_mean(self, start: int, stop: int) -> float:
+        """The mean of the sorted values in ``[start, stop)``, rounded once: floats, then integers.
+
+        With ``S`` the slice's exact sum and ``n`` its count, the float stage
+        takes ``q = fsum(slice) / n`` and splits it as Veltkamp does (``2**27 +
+        1``) into ``high + low``, each of at most 26 bits, so with ``n < 2**26``
+        both products with ``n`` are exact and one more ``fsum`` of the slice
+        and their negations gives ``r``, ``S - q*n`` rounded once. The quotient
+        is corrected to ``c = q + r/n``, and ``left = r - (c - q)*n`` is computed.
+
+        Proof that ``c`` is the mean rounded once when ``|left| + (|r| +
+        |left|)*2**-50 + 2**-1070 < n*h``, where ``h`` is half the gap from
+        ``c`` to its neighbouring floats (a quarter of an ulp at a power of
+        two, where the gap toward zero is half the other): with ``u =
+        2**-53``, ``q`` is within ``2u|q|`` of ``S/n`` (to first order in
+        ``u``), so ``c`` is within ``3u|q|`` of ``q``, ``c - q`` is exact
+        (Sterbenz) and a few bits long, and so its product with ``n`` is
+        exact. ``S - c*n`` is then ``(S - q*n - r) + (r - (c - q)*n)``: the
+        first term is at most ``u|r| + 2**-1075`` (``fsum`` rounds once, ``r``
+        perhaps subnormal), the second at most ``(1 + 2u)|left|`` (one
+        rounding). The left side as computed, three roundings each at least
+        ``1 - u`` of what they round, exceeds that sum, and ``n*h`` is exact,
+        so ``|S/n - c| < h``: no other float is as near. Requiring ``2**-900
+        <= |q| <= 2**900`` keeps every product and quotient clear of overflow
+        and of the subnormal range.
+
+        Anything else takes ``_mean``'s exact ratio: a near-tie (an exact tie
+        always, as the check is strict), a quotient out of that range (a zero
+        mean among them), a count of ``2**26`` or more, and an ``OverflowError``
+        from ``fsum``.
+        """
+        count = stop - start
+        addends = self._sorted[start:stop]
+        try:
+            quotient = fsum(addends) / count
+        except OverflowError:
+            quotient = inf
+        if _LEAST_QUOTIENT <= abs(quotient) <= _GREATEST_QUOTIENT and count < _COUNT_LIMIT:
+            scaled = quotient * _SPLITTER
+            high = scaled - (scaled - quotient)
+            addends += (-high * count, (high - quotient) * count)
+            residual = fsum(addends)
+            corrected = quotient + residual / count
+            left = residual - (corrected - quotient) * count
+            half_gap = ulp(corrected) * (0.25 if abs(frexp(corrected)[0]) == 0.5 else 0.5)
+            if (
+                abs(left) + (abs(residual) + abs(left)) * _RESIDUAL_ROUNDING + _SUBNORMAL
+                < half_gap * count
+            ):
+                return corrected
+        numerator, denominator = self._mean(start, stop)
+        return numerator / denominator
+
     def _optimistic_slice(
         self, direction: Direction, method: ExtrapolationMethod
     ) -> tuple[int, int]:
@@ -180,15 +247,13 @@ class MetricHistory:
             # the value itself, keeping its sign: a one-value sum would turn -0.0 into 0.0
             return self._sorted[count // 2]
         # the exact midpoint rounded once: a central pair may sum past the float range
-        numerator, denominator = self._mean(*_central(count))
-        return numerator / denominator
+        return self._rounded_mean(*_central(count))
 
     def trimmed_mean(self, trim_fraction: float) -> float:
         validate_trim_fraction(trim_fraction)
         count = len(self._ordered())
         cut = math.floor(trim_fraction * count)
-        numerator, denominator = self._mean(cut, count - cut)
-        return numerator / denominator
+        return self._rounded_mean(cut, count - cut)
 
     def estimate_is_worse(
         self,
@@ -213,7 +278,12 @@ class MetricHistory:
         """
         if steps_missing < 0:
             raise ValueError("steps_missing must be >= 0")
-        ordered = self._ordered()
+        pending = self.pending
+        if len(pending) == 1:  # the step just taken, folded in as _ordered would
+            ordered = self._sorted
+            insort(ordered, pending.pop())
+        else:
+            ordered = self._ordered()
         done = len(ordered)
         if direction is _MINIMIZE:
             if ordered[done // 2] <= bound and (
@@ -342,6 +412,5 @@ def extrapolate(
     history._ordered()
     if method is _OPTIMAL_METRIC:
         numerator, denominator = _checked_optimal(optimal_value).as_integer_ratio()
-    else:
-        numerator, denominator = history._mean(*history._optimistic_slice(direction, method))
-    return numerator / denominator
+        return numerator / denominator
+    return history._rounded_mean(*history._optimistic_slice(direction, method))

@@ -50,7 +50,7 @@ class PruneLayer(Enum):
     COMPARISON = "comparison"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """Outcome of consulting the pruner after one step.
 
@@ -62,19 +62,33 @@ class Decision:
     layer: PruneLayer | None = None
     reported_value: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.layer in (PruneLayer.THRESHOLD, PruneLayer.COMPARISON):
-            if self.reported_value is None:
-                raise ValueError(f"{self.layer.value} prunes must report a value")
-        elif self.reported_value is not None:
+    # Written out (dataclass keeps a class's own __init__) to fill the slots
+    # through their descriptors, as StepRecord's does.
+    def __init__(
+        self, layer: PruneLayer | None = None, reported_value: float | None = None
+    ) -> None:
+        if layer is _THRESHOLD or layer is _COMPARISON:
+            if reported_value is None:
+                raise ValueError(f"{layer.value} prunes must report a value")
+        elif reported_value is not None:
             raise ValueError("only threshold/comparison prunes report a value")
+        _set_layer(self, layer)
+        _set_reported_value(self, reported_value)
 
     @property
     def pruned(self) -> bool:
         return self.layer is not None
 
 
+# members bound once, so the tail steps do not look them up on their Enum
+_THRESHOLD = PruneLayer.THRESHOLD
+_COMPARISON = PruneLayer.COMPARISON
+_MINIMIZE = Direction.MINIMIZE
+_set_layer, _set_reported_value = (
+    Decision.__dict__[name].__set__ for name in Decision.__slots__
+)
 CONTINUE = Decision()
+_SEMANTIC_PRUNE = Decision(PruneLayer.SEMANTIC)
 
 
 @dataclass(frozen=True)
@@ -139,13 +153,13 @@ def rung_cutoff(ranked: list[float], direction: Direction, reduction_factor: int
     if not ranked:
         raise ValueError("the rung holds no values")
     keep = -(-len(ranked) // reduction_factor)
-    return ranked[keep - 1] if direction is Direction.MINIMIZE else ranked[-keep]
+    return ranked[keep - 1] if direction is _MINIMIZE else ranked[-keep]
 
 
 def semantic_decide(step: "StepRecord") -> Decision:
     """Prune immediately when the step's model selected no features at all."""
     if step.selected_feature_count == 0:
-        return Decision(PruneLayer.SEMANTIC)
+        return _SEMANTIC_PRUNE
     return CONTINUE
 
 
@@ -190,7 +204,7 @@ def threshold_decide(
         config.optimal_value,
     ):
         reported = reported_value_on_prune(history, config.trim_fraction)
-        return Decision(PruneLayer.THRESHOLD, reported_value=reported)
+        return Decision(_THRESHOLD, reported)
     return CONTINUE
 
 
@@ -233,7 +247,7 @@ _COMPLETED = TrialStatus.COMPLETED
 _PRUNED = TrialStatus.PRUNED
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRuntimeState:
     """Per-trial bookkeeping that ``combined_decide`` creates and updates.
 
@@ -290,7 +304,7 @@ def asha_record_and_decide(
     insort(ranked, value)
     if len(ranked) >= config.bootstrap_count:
         if direction.is_worse(value, rung_cutoff(ranked, direction, config.reduction_factor)):
-            return Decision(PruneLayer.COMPARISON, reported_value=value)
+            return Decision(_COMPARISON, value)
     return CONTINUE
 
 

@@ -337,7 +337,7 @@ def _read_file(path: Path) -> list[TrialTrace]:
         if trial_id in seen:
             raise FormatError(
                 f"rows of trial {trial_id!r} must be contiguous",
-                path=path, line=_line_of(path, start),
+                path=path, line=columns.line_of(start),
             )
         seen.add(trial_id)
 
@@ -354,7 +354,7 @@ def _read_file(path: Path) -> list[TrialTrace]:
             if inner_folds == 0:
                 raise FormatError(
                     f"trial {trial_id!r} must start at step (outer, inner)=(0, 0)",
-                    path=path, line=_line_of(path, start),
+                    path=path, line=columns.line_of(start),
                 )
         if (inner_folds, rows) not in grids:
             grids[inner_folds, rows] = (
@@ -372,24 +372,24 @@ def _read_file(path: Path) -> list[TrialTrace]:
                 f"{(want_outers[index], want_inners[index])}, "
                 f"got ({outers[start + index]}, {inners[start + index]}); grid rows must be "
                 "complete, unique, and in row-major order",
-                path=path, line=_line_of(path, start + index),
+                path=path, line=columns.line_of(start + index),
             )
         if shape is None:
             if rows % inner_folds != 0:
                 raise FormatError(
                     f"trial {trial_id!r} ends mid inner loop: {rows} rows with "
                     f"{inner_folds} inner folds",
-                    path=path, line=_line_of(path, stop - 1),
+                    path=path, line=columns.line_of(stop - 1),
                 )
             try:
                 shape = CvShape(outer_folds=rows // inner_folds, inner_folds=inner_folds)
             except ValueError as exc:
-                raise FormatError(str(exc), path=path, line=_line_of(path, stop - 1)) from exc
+                raise FormatError(str(exc), path=path, line=columns.line_of(stop - 1)) from exc
         elif rows != shape.total_steps:
             raise FormatError(
                 f"trial {trial_id!r} has {rows} rows, cohort shape "
                 f"{shape.outer_folds}x{shape.inner_folds} requires {shape.total_steps}",
-                path=path, line=_line_of(path, stop - 1),
+                path=path, line=columns.line_of(stop - 1),
             )
         cohort.append(
             TrialTrace(
@@ -437,6 +437,7 @@ def _read_csv(handle, text: str, columns: _Columns, lines_before: int) -> None:
     it is raised.
     """
     path = columns.path
+    columns.csv_start = len(columns.metrics)
     reader = csv.reader(chain(io.StringIO(text + handle.readline(), newline=""), handle))
     rows: list[list[str]] = []
     try:
@@ -464,6 +465,8 @@ class _Columns:
     per distinct spelling) and checks them in bulk; only a block that fails is
     walked row by row, by ``_row_problem``. ``trial_ids`` holds one id per run
     of contiguous rows, and ``starts`` the index of the run's first row.
+    ``csv_start`` is the index of the first row the ``csv`` module read (None
+    while none has): the rows before it came from plain blocks.
     """
 
     def __init__(self, path: Path) -> None:
@@ -474,6 +477,18 @@ class _Columns:
         self.inners: list[int] = []
         self.trial_ids: list[str] = []
         self.starts: list[int] = []
+        self.csv_start: int | None = None
+
+    def line_of(self, index: int) -> int | None:
+        """The line the data row at ``index`` ends on.
+
+        A row from a plain block is one line, after the header line, so it is
+        known without reading again, from a pipe too; a row the ``csv`` module
+        read is found by ``_line_of``.
+        """
+        if self.csv_start is None or index < self.csv_start:
+            return index + 2
+        return _line_of(self.path, index)
 
     def add_rows(self, rows: list[list[str]]) -> None:
         if not rows:
@@ -508,7 +523,7 @@ class _Columns:
         for index, row in enumerate(rows, start=len(self.metrics)):
             problem = _row_problem(row)
             if problem is not None:
-                raise FormatError(problem, path=self.path, line=_line_of(self.path, index))
+                raise FormatError(problem, path=self.path, line=self.line_of(index))
         raise AssertionError(f"{self.path}: a block failed its check, but none of its rows did")
 
 
@@ -539,7 +554,8 @@ def _row_problem(row: Sequence[str]) -> str | None:
 def _line_of(path: Path, index: int) -> int | None:
     """The line the data row at ``index`` ends on; the file is read again, for errors only.
 
-    Quoted fields may hold line breaks, so rows and lines need not match. Input
+    Quoted fields may hold line breaks, so after the plain blocks rows and
+    lines need not match (``_Columns.line_of`` counts the plain rows). Input
     that is not a regular file, such as a pipe, cannot be read again: None.
     """
     if not path.is_file():

@@ -7,7 +7,10 @@ extrapolation method, ``MetricHistory.estimate_is_worse`` is asked about
 bounds at the central values, at the exact blend rounded to a float, one
 ``math.nextafter`` either side of it, and at random, and must agree with
 ``oracles.brute_threshold_prunes``. ``MetricHistory._mean`` of random slices
-must equal ``oracles.exact_mean``. With ``--against``, the ``MetricHistory``
+must equal ``oracles.exact_mean``, and the floats that ``median``,
+``trimmed_mean`` and ``extrapolate`` return, and ``_rounded_mean`` of the
+random slice, must be ``numerator / denominator`` of ``_mean`` on their slice,
+bit for bit, sign of zero included. With ``--against``, the ``MetricHistory``
 of another ``metrics.py`` (for example an earlier version's) must give the
 same decisions too.
 
@@ -17,7 +20,8 @@ Run from the root of a checkout::
         [--against path/to/other/metrics.py]
 
 It prints the number of decisions compared, how many reached the integer
-comparison, and every mismatch; it exits 1 if there was one.
+comparison, how many rounded means took the exact ratio, and every mismatch;
+it exits 1 if there was one.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import brute_threshold_prunes, exact_mean, exact_median, exact_optimistic  # noqa: E402
 
 from nestedprune import Direction, ExtrapolationMethod, MetricHistory  # noqa: E402
+from nestedprune.metrics import _central, extrapolate  # noqa: E402
 
 SPECIAL = [0.0, -0.0, 0.5, 0.5, -1.5, 2.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.5e-308,
            1e-300, 1.7e308, -1.7e308, 8.5e307, 0.1, 0.2, 0.3]
@@ -68,6 +73,26 @@ def bounds_for(values, missing, direction, method, optimal, rng) -> list[float]:
     return [b for b in found if math.isfinite(b)]
 
 
+def rounded_means(history: MetricHistory, start: int, stop: int, trim: float):
+    """Each rounded mean read from ``history`` (nothing pending): its name, value and slice."""
+    count = len(history)
+    cut = math.floor(trim * count)
+    found = [
+        ("_rounded_mean", history._rounded_mean(start, stop), (start, stop)),
+        (f"trimmed_mean({trim})", history.trimmed_mean(trim), (cut, count - cut)),
+    ]
+    if count % 2 == 0:  # an odd count's median is its central value, not a mean
+        found.append(("median", history.median(), _central(count)))
+    for direction in Direction:
+        for method in (ExtrapolationMethod.MAX_DEVIATION, ExtrapolationMethod.MEAN_DEVIATION):
+            found.append((
+                f"extrapolate {direction.value} {method.value}",
+                extrapolate(history, direction, method),
+                history._optimistic_slice(direction, method),
+            ))
+    return found
+
+
 def load_metrics(path: str):
     spec = importlib.util.spec_from_file_location("other_metrics", path)
     module = importlib.util.module_from_spec(spec)
@@ -85,6 +110,7 @@ def main(argv=None) -> int:
 
     integer_passes = [0]
     mean = MetricHistory._mean
+    rounded = fallbacks = 0
 
     def counted(self, start, stop):
         integer_passes[0] += 1
@@ -104,6 +130,15 @@ def main(argv=None) -> int:
         if Fraction(numerator, denominator) != exact_mean(sorted(values)[start:stop]):
             mismatches += 1
             print(f"mean mismatch: {values!r}[{start}:{stop}]")
+        before = integer_passes[0]
+        for name, got, (low, high) in rounded_means(history, start, stop, rng.random() * 0.5):
+            numerator, denominator = mean(history, low, high)
+            rounded += 1
+            if got.hex() != (numerator / denominator).hex():
+                mismatches += 1
+                print(f"rounded mean mismatch: {name} of {values!r}: got {got!r}, "
+                      f"exact ratio {numerator / denominator!r}")
+        fallbacks += integer_passes[0] - before
         missing = rng.randint(0, 12)
         optimal = rng.choice([0.0, 1.0, -0.5, rng.choice(SPECIAL)])
         for direction in Direction:
@@ -129,7 +164,8 @@ def main(argv=None) -> int:
                         print(f"decision mismatch: {values!r} bound={bound!r} missing={missing} "
                               f"{direction.value} {method.value} optimal={optimal!r}: "
                               f"got {worse}, oracle {expected}, other {expected_other}")
-    print(f"{args.histories} histories: {means} means and {decisions} decisions compared, "
+    print(f"{args.histories} histories: {means} means, {rounded} rounded means and "
+          f"{decisions} decisions compared, {fallbacks} rounded means took the exact ratio, "
           f"{reached} decisions reached the integer comparison, {mismatches} mismatches")
     return 1 if mismatches else 0
 

@@ -24,6 +24,7 @@ from nestedprune import (
     CvShape,
     Direction,
     ExtrapolationMethod,
+    MetricHistory,
     PruneLayer,
     PrunerConfig,
     StepRecord,
@@ -127,6 +128,24 @@ def test_criterion_1_layer_counts(monkeypatch):
         monkeypatch.setattr(pruners_module, name, counted)
     compare_pruners(CRITERION_1)
     assert counts == CRITERION_1_LAYER_COUNTS
+
+
+def test_criterion_1_rounded_means_mostly_decided_in_floats(monkeypatch):
+    """Of the criterion-1 round's rounded means, only near-ties take the exact integer ratio.
+
+    No threshold step of the round reaches the integer comparison, so every
+    ``_mean`` call is a rounded mean's fallback; a float stage that stopped
+    deciding would send all 4,422 there.
+    """
+    calls = {"rounded": 0, "exact": 0}
+    for name, key in (("_rounded_mean", "rounded"), ("_mean", "exact")):
+        def counted(self, start, stop, method=getattr(MetricHistory, name), key=key):
+            calls[key] += 1
+            return method(self, start, stop)
+
+        monkeypatch.setattr(MetricHistory, name, counted)
+    compare_pruners(CRITERION_1)
+    assert calls == {"rounded": 4422, "exact": 60}
 
 
 def test_criterion_2_false_prune_ordering():

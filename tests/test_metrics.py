@@ -220,6 +220,19 @@ class TestMetricHistory:
               (-0.0, False), (0.75, True)], 0.2, 3, 0.5, 0.0)
     # a central pair whose float sum overflows: the midpoint is still finite
     @example([(1e308, False), (1.7e308, True)], 0.2, 3, 0.5, 0.0)
+    # the edges of a rounded mean's float stage: an exact tie, which rounds to even
+    @example([(1.0, False), (1.0 + 2**-52, True)], 0.2, 3, 0.5, 0.0)
+    # a mean just past the midpoint below 1.0, where the gap below is half the
+    # gap above: the corrected quotient rounds to 1.0, and only the check
+    # against the gap below sends it to the exact ratio, 1 - 2**-53
+    @example([(2.0, False), (-(2.0**-300), False), (0.0, False), (2.0 - 2**-52, True)],
+             0.0, 3, 0.5, 0.0)
+    # a zero mean; a negative mean that underflows to -0.0; a mean above 2**900
+    @example([(-0.5, False), (0.5, True)], 0.2, 3, 0.5, 0.0)
+    @example([(-5e-324, False), (0.0, True)], 0.2, 3, 0.5, 0.0)
+    @example([(1e300, False), (3e300, True)], 0.2, 3, 0.5, 0.0)
+    # a slice whose fsum overflows, though its mean is finite
+    @example([(1.7e308, False), (1.7e308, False), (1.0, True)], 0.0, 3, 0.5, 0.0)
     def test_matches_oracles_at_every_query(self, steps, trim, missing, threshold, optimal):
         history = MetricHistory()
         seen = []
@@ -534,6 +547,9 @@ class TestSignOfZero:
         assert repr(trimmed_mean([-0.0], 0.2)) == "0.0"
         assert read([-0.0], ExtrapolationMethod.MAX_DEVIATION) == "0.0"
         assert read([-0.0], ExtrapolationMethod.MEAN_DEVIATION) == "0.0"
+        # but a negative mean too small for a float rounds to -0.0
+        assert repr(median([-5e-324, 0.0])) == "-0.0"
+        assert repr(trimmed_mean([-5e-324, 0.0], 0.2)) == "-0.0"
 
 
 class TestDirection:

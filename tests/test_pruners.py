@@ -1,7 +1,9 @@
 """Unit tests for the three pruning layers and their combination."""
 
 import dataclasses
+import inspect
 import math
+import pickle
 import re
 import threading
 import time
@@ -89,6 +91,39 @@ class TestDecision:
     def test_continue_cannot_carry_value(self):
         with pytest.raises(ValueError):
             Decision(reported_value=0.4)
+
+    def test_written_out_init_keeps_the_fields_defaults(self):
+        parameters = list(inspect.signature(Decision).parameters.values())
+        assert [(p.name, p.default) for p in parameters] == [
+            (f.name, f.default) for f in dataclasses.fields(Decision)
+        ]
+
+    def test_slotted_and_frozen(self):
+        decision = Decision(PruneLayer.THRESHOLD, 0.4)
+        for name in ("layer", "reported_value"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(decision, name, None)
+        assert not hasattr(decision, "__dict__")
+        assert decision == Decision(layer=PruneLayer.THRESHOLD, reported_value=0.4)
+        assert hash(decision) == hash(Decision(PruneLayer.THRESHOLD, 0.4))
+        assert repr(decision) == (
+            "Decision(layer=<PruneLayer.THRESHOLD: 'threshold'>, reported_value=0.4)"
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        decision = Decision(PruneLayer.COMPARISON, 0.25)
+        again = pickle.loads(pickle.dumps(decision, protocol=protocol))
+        assert type(again) is Decision and again == decision
+
+    def test_semantic_prunes_share_one_decision(self):
+        assert semantic_decide(step(features=0)) is semantic_decide(step(features=0))
+        assert semantic_decide(step(features=0)) == Decision(PruneLayer.SEMANTIC)
+
+    def test_trial_state_is_slotted(self):
+        study = StudyState(shape=CvShape(outer_folds=2, inner_folds=2), config=config())
+        combined_decide(study, "t0", step())
+        assert not hasattr(study.trials["t0"], "__dict__")
 
 
 class TestConfigs:

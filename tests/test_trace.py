@@ -858,7 +858,20 @@ class TestBlockReaderEdges:
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
 class TestStreamedInput:
-    """A pipe is read once: an error in it names the file, and no line it cannot find again."""
+    """A pipe is read once: an error in it names the file, and a line only where one is known.
+
+    A row from a plain block is one line after the header, so it needs no second
+    read, and gets the line the same file gets by name. A row the ``csv`` module
+    read, and the first byte that is not UTF-8, need one, and a pipe gets no line.
+    """
+
+    @staticmethod
+    def refused_by_name(tmp_path: Path, data: bytes) -> FormatError:
+        path = tmp_path / "traces.csv"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            read_traces(path)
+        return err.value
 
     @staticmethod
     def refused_through_a_pipe(data: bytes) -> tuple[Path, FormatError]:
@@ -881,7 +894,7 @@ class TestStreamedInput:
             os.close(read_end)
             writer.join(timeout=30)
         assert not writer.is_alive()
-        assert err.value.path == path and err.value.line is None
+        assert err.value.path == path
         return path, err.value
 
     @staticmethod
@@ -891,18 +904,30 @@ class TestStreamedInput:
         return data.split(b"\n")
 
     @pytest.mark.parametrize("line", [100, 2_650], ids=["early", "late"])
-    def test_bad_row(self, line):
+    def test_bad_row(self, line, tmp_path):
         lines = self.lines_of_nine_trials()
         lines[line - 1] = lines[line - 1].rsplit(b",", 1)[0] + b",-1"
         path, error = self.refused_through_a_pipe(b"\n".join(lines))
-        assert str(error) == f"{path}: selected_feature_count must be >= 0"
+        assert error.line == line == self.refused_by_name(tmp_path, b"\n".join(lines)).line
+        assert str(error) == f"{path}: line {line}: selected_feature_count must be >= 0"
 
-    def test_trial_cut_short(self):
+    def test_bad_row_the_csv_module_read(self, tmp_path):
+        lines = self.lines_of_nine_trials()
+        lines[2_599] = b'"' + lines[2_599].replace(b",", b'",', 1)  # a quoted id on line 2,600
+        lines[2_649] = lines[2_649].rsplit(b",", 1)[0] + b",-1"
+        path, error = self.refused_through_a_pipe(b"\n".join(lines))
+        assert error.line is None
+        assert str(error) == f"{path}: selected_feature_count must be >= 0"
+        assert self.refused_by_name(tmp_path, b"\n".join(lines)).line == 2_650
+
+    def test_trial_cut_short(self, tmp_path):
         lines = self.lines_of_nine_trials()
         del lines[-2]  # the last row; the last item is the empty text after the last line feed
         path, error = self.refused_through_a_pipe(b"\n".join(lines))
+        # the header, then 2,699 rows
+        assert error.line == 2_700 == self.refused_by_name(tmp_path, b"\n".join(lines)).line
         assert str(error) == (
-            f"{path}: trial 'trial_008' has 299 rows, cohort shape 30x10 requires 300"
+            f"{path}: line 2700: trial 'trial_008' has 299 rows, cohort shape 30x10 requires 300"
         )
 
     def test_not_utf8(self):
@@ -910,4 +935,5 @@ class TestStreamedInput:
         for line in (50, 2_600):  # the second is what a read from where the pipe stopped finds
             lines[line - 1] += b"\xff"
         path, error = self.refused_through_a_pipe(b"\n".join(lines))
+        assert error.line is None
         assert str(error) == f"{path}: not UTF-8 text"
