@@ -71,9 +71,18 @@ class StepRecord:
         metric: float,
         selected_feature_count: int,
     ) -> None:
+        # exactly int, as TrialTrace holds its counts: a bool or a float is refused
+        if not type(outer_idx) is type(inner_idx) is type(selected_feature_count) is int:
+            for name, value in zip(_INT_FIELDS, (outer_idx, inner_idx, selected_feature_count)):
+                if type(value) is not int:
+                    raise TypeError(f"{name} must be an int, got {value!r}")
         if outer_idx < 0 or inner_idx < 0:
             raise ValueError("fold indices must be >= 0")
-        if not _isfinite(metric):
+        try:
+            finite = _isfinite(metric)
+        except OverflowError:
+            raise ValueError("metric must be finite, got an int no float can hold") from None
+        if not finite:
             raise ValueError(f"metric must be finite, got {metric}")
         if selected_feature_count < 0:
             raise ValueError("selected_feature_count must be >= 0")
@@ -84,6 +93,7 @@ class StepRecord:
         _set_count(self, selected_feature_count)
 
 
+_INT_FIELDS = ("outer_idx", "inner_idx", "selected_feature_count")
 _isfinite = math.isfinite
 _new_step = object.__new__
 _set_trial_id, _set_outer, _set_inner, _set_metric, _set_count = (

@@ -5,9 +5,10 @@ here is built on order statistics: trimmed means for smoothing, medians as the
 robust center, and one-sided deviations for optimism in the optimized
 direction. Means are computed exactly and rounded once, so results do not
 depend on input order and negating a series negates every result exactly.
-The exact sums come from ``math.fsum``, which implements Shewchuk's
+The float stages sum with ``math.fsum``, which implements Shewchuk's
 adaptive-precision summation ("Adaptive Precision Floating-Point Arithmetic
-and Fast Robust Geometric Predicates", 1997).
+and Fast Robust Geometric Predicates", 1997); where they cannot decide, the
+values' own integer ratios are added exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from enum import Enum
+from fractions import Fraction
 from math import frexp, fsum, inf, isfinite, ulp
 from typing import Iterable
 
@@ -94,12 +96,11 @@ class MetricHistory:
     (or value) for the median, the untrimmed middle for a trimmed mean, the
     values better than the median for mean-dev and the best value for
     max-dev. ``_rounded_mean`` rounds that slice's mean once: in floats with a
-    proven bound, or, near a tie, from ``_mean``'s exact sum, an expansion of
-    ``fsum`` partials added in integers. A threshold step
-    that the central values settle on their own (``estimate_is_worse``) sums
-    nothing; one they leave open is decided in floats with a proven error
-    bound, and only a near-tie takes the exact integer comparison
-    (``_estimate``), so each threshold test is exact.
+    proven bound, or, near a tie, from ``_mean``'s exact ratio of integers. A
+    threshold step that the central values settle on their own
+    (``estimate_is_worse``) sums nothing; one they leave open is decided in
+    floats with a proven error bound, and only a near-tie takes the exact
+    comparison of ``Fraction``s (``_estimate``), so each threshold test is exact.
     """
 
     __slots__ = ("pending", "_sorted")
@@ -109,7 +110,10 @@ class MetricHistory:
         if values is _NO_VALUES:  # nothing to convert or check
             self.pending: list[float] = []
             return
-        self.pending = list(map(float, values))
+        try:
+            self.pending = list(map(float, values))
+        except OverflowError:
+            raise ValueError("metric values must be finite, got an int no float can hold") from None
         if not all(map(math.isfinite, self.pending)):
             bad = next(v for v in self.pending if not math.isfinite(v))
             raise ValueError(f"metric values must be finite, got {bad}")
@@ -134,32 +138,12 @@ class MetricHistory:
     def _mean(self, start: int, stop: int) -> tuple[int, int]:
         """The exact mean of the sorted values in ``[start, stop)``, as integers ``(n, d)``.
 
-        ``fsum`` returns the sum correctly rounded. Appending each result,
-        negated, and summing again until the result is 0.0 leaves partial sums
-        that add up to the slice's sum exactly: a nonzero remainder is a
-        multiple of the least subnormal, so it never rounds to 0.0. The few
-        partials are added as ``as_integer_ratio`` terms over their largest
-        denominator, a power of two that each smaller one divides. A sum past
-        the float range raises ``OverflowError``; the values' own ratios are
-        then added instead.
+        The values' own ``as_integer_ratio`` terms are added over their largest
+        denominator, a power of two that each smaller one divides.
         """
-        addends = self._sorted[start:stop]
-        terms = []
-        try:
-            partial = fsum(addends)
-            while partial:
-                terms.append(partial)
-                addends.append(-partial)
-                partial = fsum(addends)
-        except OverflowError:
-            terms = self._sorted[start:stop]
-        numerator, denominator = 0, 1
-        for term in terms:
-            n, d = term.as_integer_ratio()
-            if d > denominator:
-                numerator, denominator = numerator * (d // denominator) + n, d
-            else:
-                numerator += n * (denominator // d)
+        ratios = [value.as_integer_ratio() for value in self._sorted[start:stop]]
+        denominator = max(d for _, d in ratios)
+        numerator = sum(n * (denominator // d) for n, d in ratios)
         return numerator, denominator * (stop - start)
 
     def _rounded_mean(self, start: int, stop: int) -> float:
@@ -304,7 +288,7 @@ class MetricHistory:
         method: ExtrapolationMethod,
         optimal_value: float | None,
     ) -> bool:
-        """The open step of ``estimate_is_worse``, with nothing pending: floats, then integers.
+        """The open step of ``estimate_is_worse``, with nothing pending: floats, then fractions.
 
         The float stage computes the blend ``(median*done + optimistic*missing)
         / total``: the median from the central pair, the optimistic value as
@@ -328,12 +312,12 @@ class MetricHistory:
         is monotonic, so a gap past the bound in floats is one in exact
         arithmetic.
 
-        Anything else goes on to the integer comparison: a near-tie, an
+        Anything else goes on to the exact pass: a near-tie, an
         ``OverflowError`` (``fsum``, or an int too large for a float), and a
         non-finite intermediate, which makes the gap or the bound infinite or
-        NaN. There, with the median as ``m / mc`` and the optimistic value as
-        ``o / oc``, exact ratios of integers, compare ``m*oc*done +
-        o*mc*missing`` with ``bound*mc*oc*(done + missing)``.
+        NaN. There the blend of the central and optimistic means, ``Fraction``s
+        of ``_mean``'s ratios (or of ``optimal_value``), is compared with
+        ``Fraction(bound)``.
         """
         if not isfinite(bound):
             raise ValueError(f"bound must be finite, got {bound}")
@@ -346,10 +330,10 @@ class MetricHistory:
         else:
             start, stop = self._optimistic_slice(direction, method)
         try:
-            median = ordered[lower] if done % 2 else (ordered[lower] + ordered[lower + 1]) * 0.5
+            central = ordered[lower] if done % 2 else (ordered[lower] + ordered[lower + 1]) * 0.5
             if method is not _OPTIMAL_METRIC:
                 optimistic = fsum(ordered[start:stop]) / (stop - start)
-            weighted, extra = median * done, optimistic * steps_missing
+            weighted, extra = central * done, optimistic * steps_missing
             gap = (weighted + extra) / total - bound
             error = (abs(weighted) + abs(extra)) / total * _ROUNDING + _SUBNORMAL
         except OverflowError:
@@ -360,15 +344,14 @@ class MetricHistory:
             if -inf < gap < -error:
                 return direction is not _MINIMIZE
 
-        m, mc = self._mean(lower, upper)
+        central = Fraction(*self._mean(lower, upper))
         if method is _OPTIMAL_METRIC:
-            o, oc = optimistic.as_integer_ratio()
+            optimistic = Fraction(optimal_value)
         else:
-            o, oc = self._mean(start, stop)
-        bound_numerator, bound_denominator = bound.as_integer_ratio()
-        estimate = (m * oc * done + o * mc * steps_missing) * bound_denominator
-        limit = bound_numerator * mc * oc * total
-        return estimate > limit if direction is _MINIMIZE else estimate < limit
+            optimistic = Fraction(*self._mean(start, stop))
+        blend = (central * done + optimistic * steps_missing) / total
+        limit = Fraction(bound)
+        return blend > limit if direction is _MINIMIZE else blend < limit
 
 
 def as_history(values: Iterable[float]) -> MetricHistory:

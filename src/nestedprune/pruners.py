@@ -40,10 +40,6 @@ from .metrics import (
 if TYPE_CHECKING:
     from .engine import CvShape, StepRecord
 
-# resources are completed inner loops; refuse rung requirements beyond i64
-MAX_RUNG_RESOURCE = 2**63 - 1
-
-
 class PruneLayer(Enum):
     SEMANTIC = "semantic"
     THRESHOLD = "threshold"
@@ -208,30 +204,20 @@ def threshold_decide(
     return CONTINUE
 
 
-def asha_rung_resource(rung: int, config: AshaConfig) -> int:
-    """Completed inner loops required before a trial records at ``rung``."""
-    if rung < 0:
-        raise ValueError("rung must be >= 0")
-    exponent = config.min_early_stopping_rate + rung
-    # a factor >= 2 puts every exponent >= 63 past the bound: refuse it before
-    # building the power, which grows with the exponent
-    if exponent >= 63:
-        raise OverflowError(f"rung {rung} resource exceeds representable range")
-    resource = config.min_resource * config.reduction_factor**exponent
-    if resource > MAX_RUNG_RESOURCE:
-        raise OverflowError(f"rung {rung} resource exceeds representable range")
-    return resource
-
-
 def _rung_points(shape: "CvShape", config: PrunerConfig) -> tuple[int, ...]:
     """The completed-loop count at which each rung a trial can reach is due, in rung order.
 
-    Rung ``r`` is due at the ``r``-th count. Empty while the comparison layer is off.
+    Rung ``r`` is due at ``min_resource * reduction_factor**(min_early_stopping_rate + r)``
+    completed loops. Empty while the comparison layer is off, and, with no power
+    built, when ``2**min_early_stopping_rate`` already exceeds the outer folds.
     """
+    asha, outer_folds = config.asha, shape.outer_folds
     points: list[int] = []
-    if config.comparison_enabled:
-        while (resource := asha_rung_resource(len(points), config.asha)) <= shape.outer_folds:
+    if config.comparison_enabled and asha.min_early_stopping_rate < outer_folds.bit_length():
+        resource = asha.min_resource * asha.reduction_factor**asha.min_early_stopping_rate
+        while resource <= outer_folds:
             points.append(resource)
+            resource *= asha.reduction_factor
     return tuple(points)
 
 

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, filterfalse, islice
+from itertools import chain, compress, islice
 from operator import ne
 from pathlib import Path
 from typing import Sequence
@@ -130,12 +130,21 @@ class TrialTrace:
                 raise FormatError(
                     f"trial {self.trial_id!r} has {len(column)} {name}, expected {total}"
                 )
-        if not all(map(math.isfinite, self.metrics)):
-            bad = next(filterfalse(math.isfinite, self.metrics))
-            position = self.shape.positions[self.metrics.index(bad)]
-            raise FormatError(
-                f"trial {self.trial_id!r}: metric at step {position} must be finite, got {bad}"
-            )
+        try:
+            finite = all(map(math.isfinite, self.metrics))
+        except OverflowError:  # an int no float can hold
+            finite = False
+        if not finite:
+            for position, metric in zip(self.shape.positions, self.metrics):
+                try:
+                    if math.isfinite(metric):
+                        continue
+                    bad = metric
+                except OverflowError:
+                    bad = "an int no float can hold"
+                raise FormatError(
+                    f"trial {self.trial_id!r}: metric at step {position} must be finite, got {bad}"
+                )
         # exactly int, as the file's integer field reads back; a bool is refused too
         if {*map(type, self.features)} != {int}:
             index = next(i for i, count in enumerate(self.features) if type(count) is not int)
@@ -251,8 +260,12 @@ def write_traces(cohort: Sequence[TrialTrace], path) -> None:
     ``"``, each inner ``"`` doubled, when it holds a ``,``, ``"``, ``\\r`` or ``\\n``.
     The bytes are those of ``csv.writer(lineterminator="\\n")``, but for an id
     holding a lone ``\\r``, which that writer leaves bare and its reader splits.
+    An id holding NUL is refused on every Python.
     """
     check_cohort(cohort)  # refuse what read_traces would refuse, before the file is made
+    held = next((trace.trial_id for trace in cohort if "\0" in trace.trial_id), None)
+    if held is not None:  # the csv module of Python 3.10 refuses a line holding NUL
+        raise FormatError(f"trial {held!r}: a trial id holding NUL cannot be written")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_HEADER_LINE)
         for trace in cohort:

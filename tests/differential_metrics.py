@@ -19,9 +19,9 @@ Run from the root of a checkout::
     PYTHONPATH=src python tests/differential_metrics.py --histories 40000 --seed 1 \
         [--against path/to/other/metrics.py]
 
-It prints the number of decisions compared, how many reached the integer
-comparison, how many rounded means took the exact ratio, and every mismatch;
-it exits 1 if there was one.
+It prints the number of decisions compared, how many reached the exact pass,
+how many rounded means took the exact ratio, and every mismatch; it exits 1
+if there was one.
 """
 
 from __future__ import annotations
@@ -108,12 +108,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     other = load_metrics(args.against) if args.against else None
 
-    integer_passes = [0]
+    exact_passes = [0]
     mean = MetricHistory._mean
     rounded = fallbacks = 0
 
     def counted(self, start, stop):
-        integer_passes[0] += 1
+        exact_passes[0] += 1
         return mean(self, start, stop)
 
     MetricHistory._mean = counted
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
         if Fraction(numerator, denominator) != exact_mean(sorted(values)[start:stop]):
             mismatches += 1
             print(f"mean mismatch: {values!r}[{start}:{stop}]")
-        before = integer_passes[0]
+        before = exact_passes[0]
         for name, got, (low, high) in rounded_means(history, start, stop, rng.random() * 0.5):
             numerator, denominator = mean(history, low, high)
             rounded += 1
@@ -138,15 +138,15 @@ def main(argv=None) -> int:
                 mismatches += 1
                 print(f"rounded mean mismatch: {name} of {values!r}: got {got!r}, "
                       f"exact ratio {numerator / denominator!r}")
-        fallbacks += integer_passes[0] - before
+        fallbacks += exact_passes[0] - before
         missing = rng.randint(0, 12)
         optimal = rng.choice([0.0, 1.0, -0.5, rng.choice(SPECIAL)])
         for direction in Direction:
             for method in ExtrapolationMethod:
                 for bound in bounds_for(values, missing, direction, method, optimal, rng):
-                    before = integer_passes[0]
+                    before = exact_passes[0]
                     worse = history.estimate_is_worse(bound, missing, direction, method, optimal)
-                    reached += integer_passes[0] != before
+                    reached += exact_passes[0] != before
                     expected = brute_threshold_prunes(
                         values, missing, direction, method, optimal, bound
                     )
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
                               f"got {worse}, oracle {expected}, other {expected_other}")
     print(f"{args.histories} histories: {means} means, {rounded} rounded means and "
           f"{decisions} decisions compared, {fallbacks} rounded means took the exact ratio, "
-          f"{reached} decisions reached the integer comparison, {mismatches} mismatches")
+          f"{reached} decisions reached the exact pass, {mismatches} mismatches")
     return 1 if mismatches else 0
 
 

@@ -131,9 +131,9 @@ def test_criterion_1_layer_counts(monkeypatch):
 
 
 def test_criterion_1_rounded_means_mostly_decided_in_floats(monkeypatch):
-    """Of the criterion-1 round's rounded means, only near-ties take the exact integer ratio.
+    """Of the criterion-1 round's rounded means, only near-ties take ``_mean``'s exact ratio.
 
-    No threshold step of the round reaches the integer comparison, so every
+    No threshold step of the round reaches the exact pass, so every
     ``_mean`` call is a rounded mean's fallback; a float stage that stopped
     deciding would send all 4,422 there.
     """

@@ -20,6 +20,7 @@ from nestedprune import (
     ExtrapolationMethod,
     FormatError,
     InvalidTrialStateError,
+    MetricHistory,
     PruneLayer,
     PrunerConfig,
     StepRecord,
@@ -96,6 +97,26 @@ class TestShapeAndSteps:
             StepRecord("t", -1, 0, 0.5, 5)
         with pytest.raises(ValueError):
             StepRecord("t", 0, 0, 0.5, -1)
+
+    # exactly int, as TrialTrace holds its counts: 0.0 == 0 would semantic-prune a live trial
+    @pytest.mark.parametrize(
+        "name, value",
+        [("outer_idx", 0.0), ("inner_idx", True), ("selected_feature_count", 0.0),
+         ("selected_feature_count", True)],
+    )
+    def test_fold_index_or_count_that_is_not_an_int_refused_by_name(self, name, value):
+        step = StepRecord("t", 0, 0, 0.5, 1)
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {value!r}$"):
+            dataclasses.replace(step, **{name: value})
+
+    def test_int_no_float_can_hold_refused_by_name(self):
+        message = "must be finite, got an int no float can hold$"
+        with pytest.raises(ValueError, match=f"^metric {message}"):
+            StepRecord("t", 0, 0, 10**400, 1)
+        with pytest.raises(FormatError, match=rf"^trial 'x': metric at step \(1, 1\) {message}"):
+            TrialTrace("x", CvShape(2, 2), metrics=[0.5, 0.5, 0.5, 10**400], features=[1] * 4)
+        with pytest.raises(ValueError, match=f"^metric values {message}"):
+            MetricHistory([0.5, 10**400])
 
 
 class TestStepRecordConstructor:

@@ -15,10 +15,13 @@ from oracles import (
 )
 
 from nestedprune import (
+    CvShape,
     Direction,
     ExtrapolationMethod,
     MetricHistory,
     PrunerConfig,
+    TraceGenConfig,
+    generate_cohort,
     median,
     threshold_decide,
     trimmed_mean,
@@ -357,7 +360,7 @@ class TestMedianSettledSteps:
 
 
 class TestExactMean:
-    """``_mean`` adds ``fsum`` partials exactly; past the float range, the values' own ratios."""
+    """``_mean`` adds the values' own ratios exactly, past the float range too."""
 
     # ties, both zeros, subnormals, and values whose sums overflow
     pool = st.sampled_from(
@@ -368,8 +371,11 @@ class TestExactMean:
     @settings(max_examples=500)
     @given(st.lists(st.one_of(pool, st.floats(allow_nan=False, allow_infinity=False)),
                     min_size=1, max_size=12), st.data())
-    @example([1.7e308, 1.7e308], None)  # fsum overflows: the ratio fallback
-    @example([0.1, 0.2, 0.3, 5e-324], None)  # partials down to the least subnormal
+    @example([1.7e308, 1.7e308], None)  # a sum past the float range
+    @example([0.1, 0.2, 0.3, 5e-324], None)  # denominators up to the least subnormal's
+    # 300 values: sums past the float range either way, beside subnormals
+    @example([1.7e308, -1.7e308, 5e-324, -1e-310, 2.5e-308] * 60, None)
+    @example([1.7e308] * 100 + [-5e-324] * 100 + [-1.7e308] * 99 + [1e-310], None)
     def test_equals_the_exact_mean(self, values, data):
         history = MetricHistory(values)
         ordered = sorted(values)
@@ -387,8 +393,8 @@ class TestFloatStage:
     """An open threshold step is decided in floats unless the blend is within its error bound.
 
     Bounds at the exact blend rounded to a float, and one ``nextafter`` either
-    side, are inside that bound, so they reach the integer comparison: the
-    only caller of ``_mean`` on a threshold step.
+    side, are inside that bound, so they reach the exact pass: the only caller
+    of ``_mean`` on a threshold step.
     """
 
     @pytest.fixture()
@@ -424,7 +430,7 @@ class TestFloatStage:
         st.integers(min_value=0, max_value=12),
         history_values,
     )
-    def test_bounds_at_the_blend_reach_the_integer_comparison(
+    def test_bounds_at_the_blend_reach_the_exact_pass(
         self, integer_passes, values, method, direction, missing, optimal
     ):
         history = MetricHistory(values)
@@ -443,6 +449,22 @@ class TestFloatStage:
             )
             # a step the central values leave open goes past the float stage
             assert integer_passes[0] > before or settled
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    @pytest.mark.parametrize("method", list(ExtrapolationMethod), ids=lambda m: m.value)
+    def test_bounds_at_the_blend_of_a_long_history(self, integer_passes, method, direction):
+        # one trial's 1,000 metrics on a 100x10 grid, as the live-long benchmark builds them
+        (trace,) = generate_cohort(
+            TraceGenConfig(trials=1, shape=CvShape(100, 10), seed=7, base_min=0.5, base_max=0.5)
+        )
+        values = list(trace.metrics)
+        optimal = 0.0 if direction is MIN else 1.0
+        history = MetricHistory(values)
+        for bound in self.near_blend(values, 10, direction, method, optimal):
+            before = integer_passes[0]
+            worse = history.estimate_is_worse(bound, 10, direction, method, optimal)
+            assert worse == brute_threshold_prunes(values, 10, direction, method, optimal, bound)
+            assert integer_passes[0] > before  # the central values leave each step open
 
     @pytest.mark.parametrize("direction", [MIN, MAX])
     def test_dyadic_blend_on_the_bound(self, integer_passes, direction):

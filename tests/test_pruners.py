@@ -42,7 +42,7 @@ from nestedprune import (
 )
 from nestedprune import pruners
 from nestedprune.engine import run_trial
-from nestedprune.pruners import CONTINUE, asha_rung_resource, reported_value_on_prune, rung_cutoff
+from nestedprune.pruners import CONTINUE, reported_value_on_prune, rung_cutoff
 
 MIN = Direction.MINIMIZE
 MAX = Direction.MAXIMIZE
@@ -410,41 +410,6 @@ class TestIntermediateValue:
         assert study.rungs[0] == [trimmed_mean(metrics, 0.2)]
 
 
-class TestAshaRungResource:
-    TABLE = AshaConfig(min_resource=1, reduction_factor=3, min_early_stopping_rate=2)
-
-    def test_rung_zero(self):
-        assert asha_rung_resource(0, self.TABLE) == 9
-
-    def test_rung_one(self):
-        assert asha_rung_resource(1, self.TABLE) == 27
-
-    def test_no_stopping_rate_delay(self):
-        assert asha_rung_resource(0, AshaConfig(min_early_stopping_rate=0)) == 1
-
-    def test_negative_rung_rejected(self):
-        with pytest.raises(ValueError):
-            asha_rung_resource(-1, self.TABLE)
-
-    def test_overflow_guarded(self):
-        with pytest.raises(OverflowError):
-            asha_rung_resource(100, self.TABLE)
-        # the smallest power at exponent 63 already exceeds the bound; 62 fits
-        halving = AshaConfig(reduction_factor=2, min_early_stopping_rate=62)
-        assert asha_rung_resource(0, halving) == 2**62
-        with pytest.raises(OverflowError):
-            asha_rung_resource(1, halving)
-
-    def test_huge_delay_exponent_refused_at_once(self):
-        # refused before the power is built: 3 ** (10**9) would take about an hour
-        started = time.perf_counter()
-        with pytest.raises(OverflowError, match="rung 0 "):
-            asha_rung_resource(0, AshaConfig(min_early_stopping_rate=10**9))
-        with pytest.raises(OverflowError, match="rung 0 "):
-            make_study(asha=AshaConfig(min_early_stopping_rate=10**9))
-        assert time.perf_counter() - started < 1.0
-
-
 class TestRungSurvivors:
     def test_keeps_best_third(self):
         table = {"a": 0.40, "b": 0.50, "c": 0.55}
@@ -763,9 +728,25 @@ class TestRungPoints:
     )
     def test_schedule_is_every_reachable_rung_in_order(self, asha, outer, inner):
         points = make_study(outer=outer, inner=inner, asha=asha).rung_points
-        assert points == tuple(asha_rung_resource(r, asha) for r in range(len(points)))
+        due = [
+            asha.min_resource * asha.reduction_factor ** (asha.min_early_stopping_rate + rung)
+            for rung in range(len(points) + 1)
+        ]
+        assert points == tuple(due[:-1])
         assert all(a < b for a, b in zip(points, points[1:]))
-        assert asha_rung_resource(len(points), asha) > outer
+        assert due[-1] > outer
+
+    def test_rungs_past_the_grid_do_not_cap_the_schedule(self):
+        # rung 1 is due at 2**63 loops, rung 0 at 9 * 10**19: neither can ever be reached
+        halving_past_i64 = AshaConfig(min_early_stopping_rate=0, reduction_factor=2**63)
+        assert make_study(asha=halving_past_i64).rung_points == (1,)
+        assert make_study(asha=AshaConfig(min_resource=10**19)).rung_points == ()
+
+    def test_huge_delay_exponent_builds_no_power(self):
+        # 2 ** (10**9) already exceeds the grid; 3 ** (10**9) would take about an hour
+        started = time.perf_counter()
+        assert make_study(asha=AshaConfig(min_early_stopping_rate=10**9)).rung_points == ()
+        assert time.perf_counter() - started < 1.0
 
     def test_study_works_out_threshold_window(self):
         study = make_study()

@@ -414,13 +414,16 @@ class TestRoundTrip:
           "duplicate trial id 'same' in cohort"),
          ((("t0", SHAPE), ("t1", CvShape(4, 2))),
           "trial 't1' shape CvShape(outer_folds=4, inner_folds=2) "
-          "differs from cohort shape CvShape(outer_folds=3, inner_folds=2)")],
-        ids=["empty", "duplicate", "duplicate-apart", "mixed-shapes"],
+          "differs from cohort shape CvShape(outer_folds=3, inner_folds=2)"),
+         ((("t0", SHAPE), ("a\0b", SHAPE)),
+          "trial 'a\\x00b': a trial id holding NUL cannot be written")],
+        ids=["empty", "duplicate", "duplicate-apart", "mixed-shapes", "nul"],
     )
     def test_refuses_a_cohort_read_traces_refuses(self, tmp_path, trials, message):
         # read back, an empty cohort has no step rows, a second trial of one id
-        # is a trial split in two, and a second shape is a row count its
-        # cohort's shape does not allow
+        # is a trial split in two, a second shape is a row count its cohort's
+        # shape does not allow, and a line holding NUL is refused by the csv
+        # module of Python 3.10 (TestBlockReaderEdges.test_id_holding_nul)
         cohort = [
             TrialTrace(trial_id, shape, metrics=[0.5] * shape.total_steps,
                        features=[3] * shape.total_steps)
